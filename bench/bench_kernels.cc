@@ -371,17 +371,24 @@ BM_DpGraphOracle(benchmark::State &state)
 }
 BENCHMARK(BM_DpGraphOracle);
 
+/** Region length is the argument: 200 is read-sized, so any fixed
+ *  per-call cost shows there; 12,000 shows the per-character cost. */
 void
 BM_LinearizeRegion(benchmark::State &state)
 {
     const auto &data = dataset();
+    const auto len = static_cast<uint64_t>(state.range(0));
+    graph::LinearizedGraph out;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(graph::linearizeRange(
-            data.graph, 50'000, 50'000 + 12'000,
-            graph::kDefaultHopLimit));
+        graph::linearizeRange(data.graph, 50'000, 50'000 + len - 1,
+                              graph::kDefaultHopLimit, out);
+        benchmark::DoNotOptimize(out.size());
+        benchmark::ClobberMemory();
     }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(len));
 }
-BENCHMARK(BM_LinearizeRegion);
+BENCHMARK(BM_LinearizeRegion)->Arg(200)->Arg(12'000);
 
 } // namespace
 

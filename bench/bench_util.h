@@ -3,7 +3,8 @@
  * Shared helpers for the benchmark harnesses: canonical datasets
  * (long-read and short-read workloads mirroring the paper's Section 10
  * setup, scaled to synthetic genomes), wall-clock timing, workload
- * extraction for the hardware model, and table printing.
+ * extraction for the hardware model, host stamps for bench JSON, and
+ * table printing.
  *
  * All benches are deterministic: datasets come from fixed seeds.
  */
@@ -11,22 +12,29 @@
 #ifndef SEGRAM_BENCH_BENCH_UTIL_H
 #define SEGRAM_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "src/core/segram.h"
 #include "src/hw/cycle_model.h"
 #include "src/seed/minseed.h"
 #include "src/sim/dataset.h"
+#include "src/util/bitops_simd.h"
 
 namespace segram::bench
 {
@@ -91,6 +99,62 @@ currentRssBytes()
 #else
     return 0;
 #endif
+}
+
+/**
+ * CPUs this process may run on (what `nproc` prints: the affinity
+ * mask on Linux, else the hardware concurrency); at least 1.
+ */
+inline int
+usableCpus()
+{
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return std::max(1, CPU_COUNT(&set));
+#endif
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/** CPU model name from /proc/cpuinfo, or "unknown". */
+inline std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const size_t begin = line.find_first_not_of(' ', colon + 1);
+        return begin == std::string::npos ? "unknown" : line.substr(begin);
+    }
+    return "unknown";
+}
+
+/**
+ * Writes the host stamp every bench JSON carries, as three top-level
+ * members followed by a comma: "cpu_model", "nproc" and
+ * "kernel_backend". Without it a committed figure cannot be compared
+ * against one taken on another machine.
+ */
+inline void
+writeHostStampJson(FILE *json)
+{
+    std::string model;
+    for (const char c : cpuModel()) {
+        if (c == '"' || c == '\\')
+            model.push_back('\\');
+        model.push_back(c);
+    }
+    std::fprintf(json,
+                 "  \"cpu_model\": \"%s\",\n"
+                 "  \"nproc\": %d,\n"
+                 "  \"kernel_backend\": \"%s\",\n",
+                 model.c_str(), usableCpus(), bitops::activeBackendName());
 }
 
 /** The canonical graph dataset used by the end-to-end benches. */

@@ -102,6 +102,8 @@ GraphAlignerLike::GraphAlignerLike(const graph::GenomeGraph &graph,
                                    const BaselineConfig &config)
     : graph_(graph), index_(index), config_(config)
 {
+    SEGRAM_CHECK(graph.isTopologicallySorted(),
+                 "GraphAlignerLike requires a topologically sorted graph");
     SEGRAM_CHECK(config.maxChains >= 1, "maxChains must be >= 1");
 }
 
@@ -152,6 +154,8 @@ VgLike::VgLike(const graph::GenomeGraph &graph,
                const BaselineConfig &config)
     : graph_(graph), index_(index), config_(config)
 {
+    SEGRAM_CHECK(graph.isTopologicallySorted(),
+                 "VgLike requires a topologically sorted graph");
     SEGRAM_CHECK(config.vgChunkLen >= 32, "vgChunkLen must be >= 32");
 }
 

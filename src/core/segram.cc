@@ -32,6 +32,9 @@ SegramMapper::SegramMapper(const graph::GenomeGraph &graph,
     : graph_(graph), index_(index), config_(config),
       minseed_(graph, index, config.minseed)
 {
+    // Once per chromosome; linearizeRange checks only the edges each
+    // region uses.
+    // segram-lint: allow(hot-path-graph-scan)
     SEGRAM_CHECK(graph.isTopologicallySorted(),
                  "SegramMapper requires a topologically sorted graph");
     SEGRAM_CHECK(config.earlyExitFraction >= 0.0,

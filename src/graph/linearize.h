@@ -249,7 +249,10 @@ class LinearizedGraphView
  *                  kUnlimitedHops disables dropping. Hops that leave the
  *                  region are always dropped (they cannot take part in
  *                  this window's alignment).
- * @throws InputError if the graph is not topologically sorted.
+ * @throws InputError if an edge of a node inside the range points to a
+ *         lower node ID. Only those edges shape the output, so the cost
+ *         stays O(region); whole-graph sortedness is checked once, by the
+ *         mapper constructors.
  */
 LinearizedGraph linearizeRange(const GenomeGraph &graph, uint64_t start,
                                uint64_t end,

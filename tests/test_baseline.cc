@@ -250,5 +250,41 @@ TEST(MapperConfig, Validation)
     EXPECT_THROW(VgLike(graph, index, bad_chunk), InputError);
 }
 
+/** Two nodes joined by a backwards edge, with an index over them. */
+struct UnsortedFixture
+{
+    graph::GenomeGraph graph;
+    index::MinimizerIndex index;
+};
+
+UnsortedFixture
+unsortedFixture()
+{
+    graph::GraphBuilder builder;
+    const auto a = builder.addNode("ACGTACGTACGTACGTACGT");
+    const auto b = builder.addNode("TTTTACGTACGTACGTACGT");
+    builder.addEdge(b, a);
+    UnsortedFixture fixture;
+    fixture.graph = std::move(builder).build();
+    index::IndexConfig index_config;
+    index_config.bucketBits = 8;
+    fixture.index =
+        index::MinimizerIndex::build(fixture.graph, index_config);
+    return fixture;
+}
+
+TEST(MapperConfig, GraphAlignerLikeRequiresSortedGraph)
+{
+    const auto fixture = unsortedFixture();
+    EXPECT_THROW(GraphAlignerLike(fixture.graph, fixture.index),
+                 InputError);
+}
+
+TEST(MapperConfig, VgLikeRequiresSortedGraph)
+{
+    const auto fixture = unsortedFixture();
+    EXPECT_THROW(VgLike(fixture.graph, fixture.index), InputError);
+}
+
 } // namespace
 } // namespace segram::baseline

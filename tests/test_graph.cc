@@ -13,10 +13,12 @@
 #include <set>
 #include <sstream>
 
+#include "src/core/segram.h"
 #include "src/graph/genome_graph.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/linearize.h"
 #include "src/graph/variants.h"
+#include "src/index/minimizer_index.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
@@ -280,6 +282,34 @@ TEST(GenomeGraph, GfaRoundTripLinearChain)
     EXPECT_EQ(back.pathLength(), 16u);
 }
 
+/**
+ * Builds @p doc with node IDs assigned in file order, as fromGfa did
+ * before it sorted: a shuffled document yields an unsorted graph.
+ */
+GenomeGraph
+buildInFileOrder(const io::GfaDocument &doc)
+{
+    GraphBuilder builder;
+    std::map<std::string, NodeId> ids;
+    for (const auto &segment : doc.segments)
+        ids[segment.name] = builder.addNode(segment.seq);
+    for (const auto &link : doc.links)
+        builder.addEdge(ids.at(link.from), ids.at(link.to));
+    return std::move(builder).build();
+}
+
+/** A small variant graph whose segments are listed in reverse order. */
+io::GfaDocument
+reversedGfa()
+{
+    const GenomeGraph g =
+        buildGraph("ACGTACGTACGT", {{3, "T", "G"}, {7, "", "AA"}});
+    io::GfaDocument doc = g.toGfa("chr1");
+    std::reverse(doc.segments.begin(), doc.segments.end());
+    std::reverse(doc.links.begin(), doc.links.end());
+    return doc;
+}
+
 TEST(GenomeGraph, FromGfaSortsShuffledSegments)
 {
     // The regression the unsorted-fromGfa bug caused: building the
@@ -288,23 +318,12 @@ TEST(GenomeGraph, FromGfaSortsShuffledSegments)
     // topological-rank invariant MinSeed and LinearizedGraph rely on.
     const GenomeGraph g =
         buildGraph("ACGTACGTACGT", {{3, "T", "G"}, {7, "", "AA"}});
-    io::GfaDocument doc = g.toGfa("chr1");
-    io::GfaDocument shuffled = doc;
-    std::reverse(shuffled.segments.begin(), shuffled.segments.end());
-    std::reverse(shuffled.links.begin(), shuffled.links.end());
+    const io::GfaDocument doc = g.toGfa("chr1");
+    const io::GfaDocument shuffled = reversedGfa();
 
     // Pre-fix behaviour, reproduced via the builder: file order is
     // not a topological order, so the invariant would be violated.
-    {
-        GraphBuilder builder;
-        std::map<std::string, NodeId> ids;
-        for (const auto &segment : shuffled.segments)
-            ids[segment.name] = builder.addNode(segment.seq);
-        for (const auto &link : shuffled.links)
-            builder.addEdge(ids.at(link.from), ids.at(link.to));
-        const GenomeGraph unsorted = std::move(builder).build();
-        EXPECT_FALSE(unsorted.isTopologicallySorted());
-    }
+    EXPECT_FALSE(buildInFileOrder(shuffled).isTopologicallySorted());
 
     // Post-fix: fromGfa canonically sorts, so the shuffled document
     // produces the exact same graph as the in-order one — and both
@@ -702,6 +721,28 @@ TEST(Linearize, RegionEqualsWholeWindow)
                 << "a=" << a << " pos=" << pos;
         }
     }
+}
+
+TEST(Linearize, RejectsUnsortedEdgeInsideRange)
+{
+    const GenomeGraph unsorted = buildInFileOrder(reversedGfa());
+    ASSERT_FALSE(unsorted.isTopologicallySorted());
+    EXPECT_THROW(linearizeWhole(unsorted), InputError);
+    // Node 0 is the original sink: a region holding only it uses no
+    // unsorted edge, so it still linearizes.
+    const auto sink =
+        linearizeRange(unsorted, 0, unsorted.node(0).seqLen - 1);
+    EXPECT_EQ(sink.toString(), unsorted.nodeSeq(0));
+}
+
+TEST(Linearize, MapperRejectsUnsortedGraphUpFront)
+{
+    const GenomeGraph unsorted = buildInFileOrder(reversedGfa());
+    index::IndexConfig index_config;
+    index_config.bucketBits = 8;
+    const auto index =
+        index::MinimizerIndex::build(unsorted, index_config);
+    EXPECT_THROW(core::SegramMapper(unsorted, index), InputError);
 }
 
 TEST(HopHistogram, CountsDistances)

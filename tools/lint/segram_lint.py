@@ -10,13 +10,21 @@ Rules
 -----
 hot-path-alloc   No explicit heap allocation (`new`, make_unique/
                  make_shared, malloc/calloc/realloc) in hot-path
-                 files: src/align/, src/seed/, src/core/segram.cc.
+                 files: src/align/, src/seed/, src/core/segram.cc,
+                 src/graph/linearize.cc.
                  Per-read temporaries there must come from reusable
                  workspaces (MapWorkspace) — an allocation per window
                  or per seed is a throughput bug, not a style issue.
 no-endl          No `std::endl` in hot-path files: it flushes the
                  stream on every use; hot paths buffer and write
                  '\n'. (The PafWriter exists precisely for this.)
+hot-path-graph-scan
+                 No call to the whole-graph GenomeGraph queries
+                 `isTopologicallySorted(` or `pathLength(` in hot-path
+                 files. Each walks every node or edge, so one per read
+                 or per region makes mapping cost O(graph) instead of
+                 O(region). The one-shot sites (a mapper constructor,
+                 a whole-graph analysis) carry an allow marker.
 bare-assert      No bare `assert(` anywhere under src/. Use
                  SEGRAM_CHECK (user input, always on, throws) or
                  SEGRAM_DCHECK (internal invariant, debug-only,
@@ -54,16 +62,18 @@ import sys
 from pathlib import Path
 
 HOT_PATH_PREFIXES = ("src/align/", "src/seed/")
-HOT_PATH_FILES = ("src/core/segram.cc",)
+HOT_PATH_FILES = ("src/core/segram.cc", "src/graph/linearize.cc")
 ERRNO_SCOPE_PREFIXES = ("src/serve/", "src/io/")
 
 ALLOW_RE = re.compile(r"//\s*segram-lint:\s*allow\(([a-z-]+)\)")
 
 RULE_ALLOC = "hot-path-alloc"
 RULE_ENDL = "no-endl"
+RULE_GRAPH_SCAN = "hot-path-graph-scan"
 RULE_ASSERT = "bare-assert"
 RULE_ERRNO = "errno-capture"
-ALL_RULES = (RULE_ALLOC, RULE_ENDL, RULE_ASSERT, RULE_ERRNO)
+ALL_RULES = (RULE_ALLOC, RULE_ENDL, RULE_GRAPH_SCAN, RULE_ASSERT,
+             RULE_ERRNO)
 
 ALLOC_RE = re.compile(
     r"(?<![A-Za-z0-9_])(?:"
@@ -77,6 +87,8 @@ ALLOC_RE = re.compile(
     r")"
 )
 ENDL_RE = re.compile(r"std\s*::\s*endl")
+GRAPH_SCAN_RE = re.compile(
+    r"(?<![A-Za-z0-9_])(?:isTopologicallySorted|pathLength)\s*\(")
 ASSERT_RE = re.compile(r"(?<![A-Za-z0-9_])assert\s*\(")
 ERRNO_RE = re.compile(r"(?<![A-Za-z0-9_])errno(?![A-Za-z0-9_])")
 ERRNO_OK_RES = (
@@ -171,6 +183,10 @@ def lint_text(rel: str, text: str, *, hot_path: bool,
                 report(lineno, RULE_ENDL,
                        "std::endl flushes per use; write '\\n' and let "
                        "the writer batch flushes")
+            if GRAPH_SCAN_RE.search(line):
+                report(lineno, RULE_GRAPH_SCAN,
+                       "whole-graph scan in a hot-path file costs O(graph) "
+                       "per call; check once at construction")
         if ASSERT_RE.search(line):
             report(lineno, RULE_ASSERT,
                    "bare assert(); use SEGRAM_CHECK (input, throws) or "
@@ -235,7 +251,8 @@ def self_test() -> int:
             failures.append(f"{name}: expected {want}, got {got}")
 
     expect("hot_path_violations.cc", hot_path=True, errno_scope=False,
-           want={RULE_ALLOC: 4, RULE_ENDL: 1, RULE_ASSERT: 1})
+           want={RULE_ALLOC: 4, RULE_ENDL: 1, RULE_GRAPH_SCAN: 2,
+                 RULE_ASSERT: 1})
     expect("errno_violations.cc", hot_path=False, errno_scope=True,
            want={RULE_ERRNO: 2})
     expect("clean.cc", hot_path=True, errno_scope=True, want={})

@@ -6,8 +6,10 @@
 #include <memory>
 
 void
-hot_path_sins(std::ostream &out, int n)
+hot_path_sins(std::ostream &out, int n, const GenomeGraph &graph)
 {
+    SEGRAM_CHECK(graph.isTopologicallySorted(), "x"); // VIOLATION hot-path-graph-scan
+    n += static_cast<int>(graph.pathLength());        // VIOLATION hot-path-graph-scan
     int *raw = new int[n];                          // VIOLATION hot-path-alloc
     auto owned = std::make_unique<int>(n);          // VIOLATION hot-path-alloc
     auto shared = std::make_shared<int>(n);         // VIOLATION hot-path-alloc
