@@ -14,6 +14,9 @@
  *     mapping throughput: the protocol, admission queue and dispatch
  *     layers may cost at most 10%. Per-request p50/p99 latency is
  *     measured client-side and archived (the README quotes it).
+ *     A second, small-request leg streams 8-read requests from the
+ *     same 4 clients and reports its throughput and the dispatcher's
+ *     coalescing factor (MAP requests per mapBatch, from STATS).
  *
  *  Also exercised: a client killed mid-request must leave the daemon
  *  serving everyone else (the resilience property the tentpole bugfix
@@ -58,6 +61,7 @@ namespace
 using namespace segram;
 
 constexpr size_t kBatchReads = 32;
+constexpr size_t kSmallBatchReads = 8;
 constexpr int kThreads = 4;
 constexpr int kClients = 4;
 
@@ -107,6 +111,38 @@ streamAllBatches(const std::string &socket_path,
         payload += reply.payload;
     }
     return payload;
+}
+
+/** Splits @p reads into consecutive requests of @p size reads. */
+std::vector<std::vector<serve::ReadRecord>>
+splitRequests(const std::vector<serve::ReadRecord> &reads, size_t size)
+{
+    std::vector<std::vector<serve::ReadRecord>> requests;
+    for (size_t i = 0; i < reads.size(); i += size)
+        requests.emplace_back(
+            reads.begin() + static_cast<ptrdiff_t>(i),
+            reads.begin() + static_cast<ptrdiff_t>(
+                                std::min(i + size, reads.size())));
+    return requests;
+}
+
+/** The integer value of @p key in a STATS payload (0 when absent). */
+uint64_t
+statCounter(const std::string &stats, std::string_view key)
+{
+    for (size_t pos = 0; pos < stats.size();) {
+        size_t end = stats.find('\n', pos);
+        if (end == std::string::npos)
+            end = stats.size();
+        const std::string_view line(stats.data() + pos, end - pos);
+        if (line.size() > key.size() && line.starts_with(key) &&
+            line[key.size()] == ' ')
+            return std::strtoull(
+                std::string(line.substr(key.size() + 1)).c_str(),
+                nullptr, 10);
+        pos = end + 1;
+    }
+    return 0;
 }
 
 double
@@ -160,13 +196,7 @@ main(int argc, char **argv)
     for (size_t i = 0; i < sim_reads.size(); ++i)
         reads.push_back({"read" + std::to_string(i),
                          sim_reads[i].seq});
-    std::vector<std::vector<serve::ReadRecord>> batches;
-    for (size_t i = 0; i < reads.size(); i += kBatchReads)
-        batches.emplace_back(
-            reads.begin() + static_cast<ptrdiff_t>(i),
-            reads.begin() +
-                static_cast<ptrdiff_t>(
-                    std::min(i + kBatchReads, reads.size())));
+    const auto batches = splitRequests(reads, kBatchReads);
 
     const auto dir =
         std::filesystem::temp_directory_path() /
@@ -275,6 +305,41 @@ main(int argc, char **argv)
                 kClients, saturated_sec, saturated_rps,
                 throughput_ratio, p50_ms, p99_ms);
 
+    // Small-request leg: the same clients streaming 8-read requests.
+    // One such request fills a single 8-read chunk of the mapper's
+    // pool, so throughput here rests on the dispatcher coalescing
+    // requests queued behind each other into one mapBatch.
+    const auto small_batches = splitRequests(reads, kSmallBatchReads);
+    auto stats_client =
+        serve::ServeClient::connectUnixSocket(socket_path);
+    const std::string stats_before = stats_client.stats().payload;
+    const double small_sec = bench::timeSec([&] {
+        std::vector<std::thread> clients;
+        for (int c = 0; c < kClients; ++c) {
+            clients.emplace_back([&] {
+                const std::string payload = streamAllBatches(
+                    socket_path, small_batches, nullptr);
+                if (payload != offline_paf)
+                    mismatch.store(true);
+            });
+        }
+        for (auto &thread : clients)
+            thread.join();
+    });
+    const double small_rps =
+        static_cast<double>(reads.size()) * kClients / small_sec;
+    const std::string stats_after = stats_client.stats().payload;
+    const auto delta = [&](std::string_view key) {
+        return static_cast<double>(statCounter(stats_after, key) -
+                                   statCounter(stats_before, key));
+    };
+    const double coalescing = delta("server.map_requests") /
+                              std::max(1.0, delta("server.map_batches"));
+    std::printf("small requests: %d clients x %zu-read requests, "
+                "%.3f s, %.1f reads/s, %.2f requests per mapBatch\n",
+                kClients, kSmallBatchReads, small_sec, small_rps,
+                coalescing);
+
     // --- reload under load -------------------------------------------
     std::atomic<bool> stop_traffic{false};
     std::atomic<uint64_t> reload_mismatches{0};
@@ -362,6 +427,10 @@ main(int argc, char **argv)
             "  \"daemon_identical\": %s,\n"
             "  \"saturation\": {\"seconds\": %.3f, \"reads_per_sec\": "
             "%.2f, \"vs_offline\": %.3f},\n"
+            "  \"small_requests\": {\"batch_reads\": %zu, "
+            "\"seconds\": %.3f, \"reads_per_sec\": %.2f, "
+            "\"requests_per_map_batch\": %.2f},\n"
+            "  \"concurrent_identical\": %s,\n"
             "  \"latency_p50_ms\": %.2f,\n"
             "  \"latency_p99_ms\": %.2f,\n"
             "  \"reloads_ok\": %s,\n"
@@ -373,7 +442,9 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(genome_len), reads.size(),
             read_len, kBatchReads, kThreads, kClients, offline_sec,
             offline_rps, identical ? "true" : "false", saturated_sec,
-            saturated_rps, throughput_ratio, p50_ms, p99_ms,
+            saturated_rps, throughput_ratio, kSmallBatchReads,
+            small_sec, small_rps, coalescing,
+            mismatch.load() ? "false" : "true", p50_ms, p99_ms,
             reloads_ok ? "true" : "false",
             static_cast<unsigned long long>(reload_completed.load()),
             static_cast<unsigned long long>(reload_mismatches.load()),
@@ -388,6 +459,12 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "FAIL: daemon PAF not byte-identical to the "
                      "offline driver\n");
+        failed = true;
+    }
+    if (mismatch.load()) {
+        std::fprintf(stderr,
+                     "FAIL: a concurrent client's PAF is not "
+                     "byte-identical to the offline driver\n");
         failed = true;
     }
     if (throughput_ratio < 0.9) {

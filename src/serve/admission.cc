@@ -21,19 +21,27 @@ AdmissionQueue::tryPush(MapJob &&job)
     return true;
 }
 
-std::optional<MapJob>
-AdmissionQueue::pop()
+std::vector<MapJob>
+AdmissionQueue::popRun(uint64_t max_reads)
 {
+    std::vector<MapJob> run;
     util::MutexLock lock(mutex_);
     // Explicit loop: guarded reads stay visible to -Wthread-safety
     // (a predicate lambda would hide them from the analysis).
     while (!(stopped_ || !jobs_.empty()))
         ready_.wait(lock.native());
-    if (jobs_.empty())
-        return std::nullopt;
-    MapJob job = std::move(jobs_.front());
-    jobs_.pop_front();
-    return job;
+    uint64_t reads = 0;
+    while (!jobs_.empty()) {
+        MapJob &next = jobs_.front();
+        if (!run.empty() &&
+            (next.service != run.front().service ||
+             reads + next.reads.size() > max_reads))
+            break;
+        reads += next.reads.size();
+        run.push_back(std::move(next));
+        jobs_.pop_front();
+    }
+    return run;
 }
 
 void

@@ -19,10 +19,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/serve/protocol.h"
@@ -68,15 +68,25 @@ class AdmissionQueue
     bool tryPush(MapJob &&job);
 
     /**
-     * Blocks for the next job.
-     * @return nullopt once stop() has been called *and* the queue has
-     *         drained — the dispatcher's termination signal.
+     * Blocks for the head job and takes it, then keeps taking the jobs
+     * queued right behind it while they hold the *same* service
+     * pointer and the run's read total stays <= @p max_reads. The head
+     * job is taken even when it alone exceeds the cap.
+     *
+     * A run never reaches past another tenant's job, and never mixes
+     * jobs admitted before and after a reload (the swap gives them
+     * different service pointers), so FIFO order and the drain-on-old
+     * contract both hold.
+     *
+     * @return the run, in admission order; empty once stop() has been
+     *         called *and* the queue has drained — the dispatcher's
+     *         termination signal.
      */
-    std::optional<MapJob> pop();
+    std::vector<MapJob> popRun(uint64_t max_reads);
 
     /**
-     * Rejects all future pushes; pop() keeps draining what was already
-     * admitted (graceful shutdown maps everything it accepted).
+     * Rejects all future pushes; popRun() keeps draining what was
+     * already admitted (graceful shutdown maps everything it accepted).
      */
     void stop();
 

@@ -48,6 +48,15 @@ appendStat(std::string &out, std::string_view key, double value)
     out.push_back('\n');
 }
 
+uint64_t
+elapsedMicros(std::chrono::steady_clock::time_point from,
+              std::chrono::steady_clock::time_point to)
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+            .count());
+}
+
 } // namespace
 
 Server::Server(ServiceRegistry &registry, ServerConfig config)
@@ -203,21 +212,34 @@ Server::reapSessions()
 void
 Server::dispatchLoop()
 {
-    while (auto job = queue_.pop()) {
-        Reply reply;
-        try {
-            reply = job->service->map(job->reads);
-        } catch (const std::exception &error) {
-            reply.ok = false;
-            reply.code = std::string(kErrInternal);
-            reply.message = error.what();
+    for (;;) {
+        std::vector<MapJob> run =
+            queue_.popRun(config_.maxReadsPerRequest);
+        if (run.empty())
+            return;
+        const auto started = std::chrono::steady_clock::now();
+        std::vector<std::vector<ReadRecord>> requests;
+        requests.reserve(run.size());
+        for (auto &job : run) {
+            queueWait_.record(elapsedMicros(job.admitted, started));
+            requests.push_back(std::move(job.reads));
         }
-        const auto micros =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - job->admitted)
-                .count();
-        mapLatency_.record(static_cast<uint64_t>(micros));
-        job->reply.set_value(std::move(reply));
+        mapBatches_.fetch_add(1, std::memory_order_relaxed);
+        std::vector<Reply> replies;
+        try {
+            replies = run.front().service->map(requests);
+        } catch (const std::exception &error) {
+            Reply failed;
+            failed.ok = false;
+            failed.code = std::string(kErrInternal);
+            failed.message = error.what();
+            replies.assign(run.size(), failed);
+        }
+        const auto finished = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < run.size(); ++i) {
+            mapLatency_.record(elapsedMicros(run[i].admitted, finished));
+            run[i].reply.set_value(std::move(replies[i]));
+        }
     }
 }
 
@@ -353,6 +375,8 @@ Server::statsText() const
                requests_.load(std::memory_order_relaxed));
     appendStat(out, "server.map_requests",
                mapRequests_.load(std::memory_order_relaxed));
+    appendStat(out, "server.map_batches",
+               mapBatches_.load(std::memory_order_relaxed));
     appendStat(out, "server.reads",
                readsReceived_.load(std::memory_order_relaxed));
     appendStat(out, "server.busy_rejects",
@@ -366,6 +390,10 @@ Server::statsText() const
     appendStat(out, "server.latency_p99_ms",
                mapLatency_.percentileMs(0.99));
     appendStat(out, "server.latency_mean_ms", mapLatency_.meanMs());
+    appendStat(out, "server.queue_wait_p50_ms",
+               queueWait_.percentileMs(0.5));
+    appendStat(out, "server.queue_wait_p99_ms",
+               queueWait_.percentileMs(0.99));
     appendStat(out, "server.kernel_backend",
                bitops::activeBackendName());
     for (const auto &service : registry_.list()) {

@@ -15,11 +15,18 @@
  *                   the bounded AdmissionQueue — full queue means an
  *                   immediate `ERR BUSY`, the backpressure contract.
  *   dispatcher      single thread draining the queue into
- *                   MappingService::map. One dispatcher is deliberate:
+ *                   MappingService::map. Each pop takes a *run*: the
+ *                   head job plus every job queued right behind it for
+ *                   the same tenant, up to maxReadsPerRequest reads,
+ *                   mapped as one batch and split back into one reply
+ *                   per request. One dispatcher is deliberate:
  *                   ShardedBatchMapper::mapBatch must be serialized
  *                   per service, and parallelism lives *inside* a
- *                   batch (the mapper's own thread pool), exactly the
- *                   paper's read-level parallelism story.
+ *                   batch (the mapper's own thread pool) — it comes
+ *                   from a request's own reads and from the queued
+ *                   requests coalesced with it, so small requests
+ *                   still keep every worker busy: the paper's
+ *                   read-level parallelism story.
  *
  * Shutdown (stop()) is graceful by construction: listeners close (no
  * new connections), every session fd gets shutdown(SHUT_RD) (no new
@@ -60,7 +67,9 @@ struct ServerConfig
     int tcpPort = 0;
     /** Admission queue capacity (pending MAP requests). */
     size_t queueCapacity = 64;
-    /** Largest read count a single MAP may carry. */
+    /** Largest read count a single MAP may carry, and the cap on a
+     *  coalesced run's reads (so a run holds no more reads than one
+     *  maximal request). */
     uint64_t maxReadsPerRequest = 65536;
 };
 
@@ -142,7 +151,9 @@ class Server
     std::atomic<uint64_t> mapRequests_{0};
     std::atomic<uint64_t> readsReceived_{0};
     std::atomic<uint64_t> busyRejects_{0};
-    LatencyHistogram mapLatency_;
+    std::atomic<uint64_t> mapBatches_{0};
+    LatencyHistogram mapLatency_; ///< admission -> reply
+    LatencyHistogram queueWait_;  ///< admission -> run starts mapping
 };
 
 } // namespace segram::serve

@@ -23,34 +23,37 @@ MappingService::MappingService(std::string name, std::string pack_path,
         targetLen_[chromosome.name] = chromosome.graph.totalSeqLen();
 }
 
-Reply
-MappingService::map(const std::vector<ReadRecord> &reads)
+std::vector<Reply>
+MappingService::map(std::span<const std::vector<ReadRecord>> requests)
 {
     std::vector<std::string_view> seqs;
-    seqs.reserve(reads.size());
-    for (const auto &read : reads)
-        seqs.push_back(read.seq);
+    for (const auto &reads : requests)
+        for (const auto &read : reads)
+            seqs.push_back(read.seq);
 
-    Reply reply;
-    std::string &payload = reply.payload;
+    std::vector<Reply> replies(requests.size());
     util::MutexLock lock(mapMutex_);
     const auto results = mapper_.mapBatch(
         std::span<const std::string_view>(seqs), &stats_);
-    for (size_t i = 0; i < results.size(); ++i) {
-        const auto &result = results[i];
-        if (!result.mapped)
-            continue;
-        const io::PafRecord record = io::makePafRecord(
-            reads[i].name, reads[i].seq.size(),
-            result.reverseComplemented ? '-' : '+', result.chromosome,
-            targetLen_.at(result.chromosome), result.linearStart,
-            result.cigar);
-        io::formatPaf(payload, record);
-        ++reply.lines;
+    auto result = results.begin();
+    for (size_t r = 0; r < requests.size(); ++r) {
+        Reply &reply = replies[r];
+        for (const auto &read : requests[r]) {
+            const core::MultiMapResult &mapped = *result++;
+            if (!mapped.mapped)
+                continue;
+            const io::PafRecord record = io::makePafRecord(
+                read.name, read.seq.size(),
+                mapped.reverseComplemented ? '-' : '+',
+                mapped.chromosome, targetLen_.at(mapped.chromosome),
+                mapped.linearStart, mapped.cigar);
+            io::formatPaf(reply.payload, record);
+            ++reply.lines;
+        }
+        ++requests_;
+        reads_ += requests[r].size();
     }
-    ++requests_;
-    reads_ += reads.size();
-    return reply;
+    return replies;
 }
 
 MappingService::Snapshot

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,16 +61,19 @@ class MappingService
                    const ServiceConfig &config);
 
     /**
-     * Maps a batch of reads and formats the PAF payload. Calls are
+     * Maps a run of requests as one batch and formats each request's
+     * PAF payload into its own Reply, in read order. Calls are
      * serialized internally (ShardedBatchMapper::mapBatch requires
-     * it); concurrency comes from the pool *inside* one batch, which
-     * is where SeGraM's read-level parallelism lives anyway.
+     * it); concurrency comes from the pool *inside* the batch, which
+     * spans every read of every request in the run.
      *
-     * Never throws for mapping itself; a Reply with ok=true and one
-     * PAF line per mapped read (unmapped reads produce no line, like
-     * `segram map`).
+     * Each reply is byte-identical to mapping its request alone:
+     * per-read results do not depend on which other reads share the
+     * batch. Never throws for mapping itself; each Reply has ok=true
+     * and one PAF line per mapped read (unmapped reads produce no
+     * line, like `segram map`).
      */
-    Reply map(const std::vector<ReadRecord> &reads);
+    std::vector<Reply> map(std::span<const std::vector<ReadRecord>> requests);
 
     /** Point-in-time counters for the STATS endpoint. */
     struct Snapshot

@@ -519,6 +519,30 @@ grep -q "^tenant.ref.reads " "$tmp/stats.txt" || {
     echo "FAIL: STATS missing the per-tenant section"
     exit 1
 }
+# Concurrent small requests: the dispatcher may coalesce requests
+# from different clients into one batch, yet each client must still
+# get exactly the offline bytes for its own reads.
+client_pids=""
+for c in 1 2 3 4; do
+    "$bin" client --socket "$tmp/sv.sock" --batch 8 map ref \
+        "$tmp/d.reads.fa" > "$tmp/served_c$c.paf" 2> /dev/null &
+    client_pids="$client_pids $!"
+done
+for pid in $client_pids; do
+    wait "$pid" || { echo "FAIL: concurrent client map failed"; exit 1; }
+done
+for c in 1 2 3 4; do
+    cmp "$tmp/offline.paf" "$tmp/served_c$c.paf" || {
+        echo "FAIL: concurrent client $c PAF differs from offline map"
+        exit 1
+    }
+done
+"$bin" client --socket "$tmp/sv.sock" stats > "$tmp/stats.txt"
+grep -q "^server.map_batches " "$tmp/stats.txt" || {
+    echo "FAIL: STATS missing server.map_batches"
+    cat "$tmp/stats.txt"
+    exit 1
+}
 # Reload the pack in place, then map again: still byte-identical.
 "$bin" client --socket "$tmp/sv.sock" reload ref "$tmp/serve.segram" \
     2> /dev/null || {
@@ -559,4 +583,4 @@ if [ -S "$tmp/sv.sock" ]; then
     echo "FAIL: daemon left its socket file behind"
     exit 1
 fi
-echo "cli serve daemon OK (byte-identical, reload, graceful stop)"
+echo "cli serve daemon OK (byte-identical, concurrent clients, reload, graceful stop)"

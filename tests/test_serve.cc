@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <future>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -115,6 +118,10 @@ TEST(ServeProtocol, FormatErrorFlattensNewlines)
 
 // --------------------------------------------------------- admission
 
+// A run cap of one read keeps every run to its head job, so the
+// queue-order tests below see one job per popRun.
+constexpr uint64_t kOneJobPerRun = 1;
+
 TEST(AdmissionQueue, RejectsWhenFullAndPreservesOrder)
 {
     AdmissionQueue queue(2);
@@ -129,12 +136,12 @@ TEST(AdmissionQueue, RejectsWhenFullAndPreservesOrder)
     MapJob overflow;
     EXPECT_FALSE(queue.tryPush(std::move(overflow))); // ERR BUSY path
 
-    auto a = queue.pop();
-    ASSERT_TRUE(a.has_value());
-    EXPECT_EQ(a->reads[0].name, "a"); // FIFO
-    auto b = queue.pop();
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(b->reads[0].name, "b");
+    auto a = queue.popRun(kOneJobPerRun);
+    ASSERT_EQ(a.size(), 1u);
+    EXPECT_EQ(a[0].reads[0].name, "a"); // FIFO
+    auto b = queue.popRun(kOneJobPerRun);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(b[0].reads[0].name, "b");
 }
 
 TEST(AdmissionQueue, StopDrainsAdmittedJobsThenSignalsEnd)
@@ -148,8 +155,9 @@ TEST(AdmissionQueue, StopDrainsAdmittedJobsThenSignalsEnd)
     MapJob late;
     EXPECT_FALSE(queue.tryPush(std::move(late))); // no new admissions
 
-    EXPECT_TRUE(queue.pop().has_value());  // admitted work drains
-    EXPECT_FALSE(queue.pop().has_value()); // then the end signal
+    // Admitted work drains, then the end signal.
+    EXPECT_FALSE(queue.popRun(kOneJobPerRun).empty());
+    EXPECT_TRUE(queue.popRun(kOneJobPerRun).empty());
 }
 
 TEST(AdmissionQueue, PopBlocksUntilPushFromAnotherThread)
@@ -161,10 +169,11 @@ TEST(AdmissionQueue, PopBlocksUntilPushFromAnotherThread)
         while (!queue.tryPush(std::move(job)))
             std::this_thread::yield();
     });
-    const auto job = queue.pop(); // blocks until the producer lands
+    // Blocks until the producer lands.
+    const auto run = queue.popRun(kOneJobPerRun);
     producer.join();
-    ASSERT_TRUE(job.has_value());
-    EXPECT_EQ(job->reads[0].name, "x");
+    ASSERT_EQ(run.size(), 1u);
+    EXPECT_EQ(run[0].reads[0].name, "x");
 }
 
 // ----------------------------------------------------------- metrics
@@ -186,6 +195,40 @@ TEST(LatencyHistogram, PercentilesBracketRecordedValues)
 }
 
 // ----------------------------------------------- service + end to end
+
+/** A job for @p service carrying @p count reads named @p name. */
+MapJob
+makeJob(std::shared_ptr<MappingService> service, const std::string &name,
+        size_t count = 1)
+{
+    MapJob job;
+    job.service = std::move(service);
+    job.reads.assign(count, ReadRecord{name, "ACGT"});
+    return job;
+}
+
+/** The first read name of each job in @p run, in run order. */
+std::vector<std::string>
+runNames(const std::vector<MapJob> &run)
+{
+    std::vector<std::string> names;
+    for (const auto &job : run)
+        names.push_back(job.reads.at(0).name);
+    return names;
+}
+
+/** The integer value of @p key in a STATS payload. */
+uint64_t
+statValue(const std::string &stats, const std::string &key)
+{
+    std::istringstream lines(stats);
+    std::string line;
+    while (std::getline(lines, line))
+        if (line.compare(0, key.size() + 1, key + " ") == 0)
+            return std::stoull(line.substr(key.size() + 1));
+    ADD_FAILURE() << "missing STATS key " << key;
+    return 0;
+}
 
 sim::DatasetConfig
 smallConfig(uint64_t seed)
@@ -240,7 +283,8 @@ class ServeTest : public ::testing::Test
     /** The offline ground truth: the same pack mapped through the
      *  library driver and formatted through the same PAF writer. */
     std::string
-    offlinePaf(const ServiceConfig &config) const
+    offlinePaf(const ServiceConfig &config,
+               const std::vector<ReadRecord> &reads) const
     {
         const auto reference =
             core::PreprocessedReference::load(packPath(),
@@ -248,7 +292,7 @@ class ServeTest : public ::testing::Test
         const core::ShardedBatchMapper mapper(
             reference, config.segram, config.batch);
         std::vector<std::string_view> seqs;
-        for (const auto &read : reads_)
+        for (const auto &read : reads)
             seqs.push_back(read.seq);
         const auto results = mapper.mapBatch(
             std::span<const std::string_view>(seqs));
@@ -258,7 +302,7 @@ class ServeTest : public ::testing::Test
                 continue;
             io::formatPaf(
                 paf, io::makePafRecord(
-                         reads_[i].name, reads_[i].seq.size(),
+                         reads[i].name, reads[i].seq.size(),
                          results[i].reverseComplemented ? '-' : '+',
                          results[i].chromosome,
                          reference.graph(0).totalSeqLen(),
@@ -277,14 +321,123 @@ TEST_F(ServeTest, ServiceMatchesLibraryDriverExactly)
     ServiceConfig config;
     config.batch.threads = 2;
     MappingService service("chr", packPath(), config);
-    const Reply reply = service.map(reads_);
+    const std::vector<std::vector<ReadRecord>> run{reads_};
+    const Reply reply = service.map(run).at(0);
     EXPECT_TRUE(reply.ok);
     EXPECT_GT(reply.lines, 0u);
-    EXPECT_EQ(reply.payload, offlinePaf(config));
+    EXPECT_EQ(reply.payload, offlinePaf(config, reads_));
 
     const auto snap = service.snapshot();
     EXPECT_EQ(snap.requests, 1u);
     EXPECT_EQ(snap.reads, reads_.size());
+}
+
+TEST_F(ServeTest, PopRunCoalescesOnlyConsecutiveJobsOfOneService)
+{
+    ServiceConfig config;
+    const auto s1 =
+        std::make_shared<MappingService>("one", packPath(), config);
+    const auto s2 =
+        std::make_shared<MappingService>("two", packPath(), config);
+    AdmissionQueue queue(8);
+    ASSERT_TRUE(queue.tryPush(makeJob(s1, "A")));
+    ASSERT_TRUE(queue.tryPush(makeJob(s1, "B")));
+    ASSERT_TRUE(queue.tryPush(makeJob(s2, "C")));
+    ASSERT_TRUE(queue.tryPush(makeJob(s1, "D")));
+
+    // A run never reaches past another tenant's job: D waits for C.
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(runNames(queue.popRun(100)), (Names{"A", "B"}));
+    EXPECT_EQ(runNames(queue.popRun(100)), (Names{"C"}));
+    EXPECT_EQ(runNames(queue.popRun(100)), (Names{"D"}));
+    EXPECT_EQ(queue.depth(), 0u);
+}
+
+TEST_F(ServeTest, PopRunSplitsAtTheReadCapAndAlwaysTakesTheHead)
+{
+    ServiceConfig config;
+    const auto service =
+        std::make_shared<MappingService>("ref", packPath(), config);
+    AdmissionQueue queue(8);
+    ASSERT_TRUE(queue.tryPush(makeJob(service, "A", 3)));
+    ASSERT_TRUE(queue.tryPush(makeJob(service, "B", 3)));
+    ASSERT_TRUE(queue.tryPush(makeJob(service, "C", 3)));
+    ASSERT_TRUE(queue.tryPush(makeJob(service, "D", 6)));
+    ASSERT_TRUE(queue.tryPush(makeJob(service, "E", 1)));
+    ASSERT_TRUE(queue.tryPush(makeJob(service, "F", 9)));
+
+    using Names = std::vector<std::string>;
+    // 3 + 3 fills the cap of 6; C would make 9.
+    EXPECT_EQ(runNames(queue.popRun(6)), (Names{"A", "B"}));
+    // C + D would make 9, so C runs alone.
+    EXPECT_EQ(runNames(queue.popRun(6)), (Names{"C"}));
+    // D alone is at the cap; E does not fit behind it.
+    EXPECT_EQ(runNames(queue.popRun(6)), (Names{"D"}));
+    EXPECT_EQ(runNames(queue.popRun(6)), (Names{"E"}));
+    // F alone exceeds the cap, yet the head job is always taken.
+    EXPECT_EQ(runNames(queue.popRun(6)), (Names{"F"}));
+    EXPECT_EQ(queue.depth(), 0u);
+}
+
+TEST_F(ServeTest, PopRunNeverMixesJobsAcrossAReload)
+{
+    ServiceConfig config;
+    ServiceRegistry registry;
+    registry.add(std::make_shared<MappingService>("ref", packPath(),
+                                                  config));
+    AdmissionQueue queue(8);
+    ASSERT_TRUE(queue.tryPush(makeJob(registry.find("ref"), "old")));
+    registry.reload("ref", packPath());
+    ASSERT_TRUE(queue.tryPush(makeJob(registry.find("ref"), "new1")));
+    ASSERT_TRUE(queue.tryPush(makeJob(registry.find("ref"), "new2")));
+
+    // Same tenant name, distinct service objects: the pre-reload job
+    // drains on the old pack, alone.
+    const auto old_run = queue.popRun(100);
+    const auto new_run = queue.popRun(100);
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(runNames(old_run), (Names{"old"}));
+    EXPECT_EQ(runNames(new_run), (Names{"new1", "new2"}));
+    EXPECT_EQ(old_run[0].service->name(), new_run[0].service->name());
+    EXPECT_NE(old_run[0].service, new_run[0].service);
+}
+
+TEST_F(ServeTest, CoalescedRunRepliesMatchEachRequestMappedAlone)
+{
+    ServiceConfig config;
+    config.batch.threads = 4;
+    MappingService service("chr", packPath(), config);
+
+    // Requests of 1, 3, 8 and 13 reads (25 in all: the fixture's 24
+    // plus a renamed copy of the first), so the mapper's 8-read
+    // chunks straddle request boundaries.
+    std::vector<ReadRecord> pool = reads_;
+    pool.push_back({"r0_again", reads_[0].seq});
+    std::vector<std::vector<ReadRecord>> run;
+    size_t next = 0;
+    for (const size_t size : {1, 3, 8, 13}) {
+        run.emplace_back(pool.begin() + static_cast<ptrdiff_t>(next),
+                         pool.begin() +
+                             static_cast<ptrdiff_t>(next + size));
+        next += size;
+    }
+    ASSERT_EQ(next, pool.size());
+
+    const std::vector<Reply> replies = service.map(run);
+    ASSERT_EQ(replies.size(), run.size());
+    for (size_t i = 0; i < run.size(); ++i) {
+        EXPECT_TRUE(replies[i].ok);
+        EXPECT_EQ(replies[i].payload, offlinePaf(config, run[i]))
+            << "request " << i;
+        EXPECT_EQ(replies[i].lines,
+                  static_cast<uint64_t>(std::count(
+                      replies[i].payload.begin(),
+                      replies[i].payload.end(), '\n')));
+    }
+
+    const auto snap = service.snapshot();
+    EXPECT_EQ(snap.requests, 4u);
+    EXPECT_EQ(snap.reads, 25u);
 }
 
 TEST_F(ServeTest, RegistryReloadSwapsAtomicallyAndRejectsUnknown)
@@ -328,19 +481,86 @@ TEST_F(ServeTest, EndToEndMapIsByteIdenticalToOffline)
 
     const Reply reply = client.mapReads("ref", reads_);
     ASSERT_TRUE(reply.ok) << reply.code << " " << reply.message;
-    EXPECT_EQ(reply.payload, offlinePaf(config));
+    EXPECT_EQ(reply.payload, offlinePaf(config, reads_));
 
     // STATS carries the operational surface the README documents.
     const Reply stats = client.stats();
     ASSERT_TRUE(stats.ok);
     for (const char *key :
          {"server.requests", "server.map_requests", "server.reads",
-          "server.queue_depth", "server.latency_p50_ms",
-          "server.latency_p99_ms", "server.kernel_backend",
+          "server.map_batches", "server.queue_depth",
+          "server.queue_wait_p50_ms", "server.queue_wait_p99_ms",
+          "server.latency_p50_ms", "server.latency_p99_ms",
+          "server.kernel_backend",
           "tenant.ref.requests", "tenant.ref.reads_mapped"}) {
         EXPECT_NE(stats.payload.find(key), std::string::npos)
             << "missing STATS key " << key;
     }
+    server.stop();
+}
+
+TEST_F(ServeTest, ConcurrentSmallRequestsStayByteIdenticalToOffline)
+{
+    ServiceConfig config;
+    config.batch.threads = 4;
+    ServiceRegistry registry;
+    registry.add(std::make_shared<MappingService>("ref", packPath(),
+                                                  config));
+    ServerConfig server_config;
+    server_config.unixPath = socketPath();
+    Server server(registry, server_config);
+    server.start();
+
+    // Odd-sized slices of the fixture reads, each with the offline
+    // answer for exactly its own reads.
+    struct Slice
+    {
+        std::vector<ReadRecord> reads;
+        std::string paf;
+    };
+    std::vector<Slice> slices;
+    size_t next = 0;
+    for (const size_t size : {1, 3, 5, 7, 5, 3}) {
+        Slice slice;
+        slice.reads.assign(
+            reads_.begin() + static_cast<ptrdiff_t>(next),
+            reads_.begin() + static_cast<ptrdiff_t>(next + size));
+        slice.paf = offlinePaf(config, slice.reads);
+        slices.push_back(std::move(slice));
+        next += size;
+    }
+
+    constexpr int kClients = 6;
+    constexpr int kRounds = 3;
+    std::atomic<uint64_t> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            auto client =
+                ServeClient::connectUnixSocket(socketPath());
+            for (size_t k = 0; k < kRounds * slices.size(); ++k) {
+                const Slice &slice =
+                    slices[(k + static_cast<size_t>(c)) % slices.size()];
+                const Reply reply = client.mapReads("ref", slice.reads);
+                if (!reply.ok || reply.payload != slice.paf)
+                    mismatches.fetch_add(1);
+            }
+        });
+    }
+    for (auto &thread : clients)
+        thread.join();
+    EXPECT_EQ(mismatches.load(), 0u);
+
+    auto client = ServeClient::connectUnixSocket(socketPath());
+    const Reply stats = client.stats();
+    ASSERT_TRUE(stats.ok);
+    const uint64_t requests =
+        statValue(stats.payload, "server.map_requests");
+    const uint64_t batches =
+        statValue(stats.payload, "server.map_batches");
+    EXPECT_EQ(requests, uint64_t{kClients} * kRounds * slices.size());
+    EXPECT_GE(batches, 1u);
+    EXPECT_LE(batches, requests);
     server.stop();
 }
 
@@ -419,7 +639,7 @@ TEST_F(ServeTest, ClientVanishingMidRequestLeavesDaemonServing)
     EXPECT_TRUE(client.ping().ok);
     const Reply reply = client.mapReads("ref", reads_);
     EXPECT_TRUE(reply.ok);
-    EXPECT_EQ(reply.payload, offlinePaf(config));
+    EXPECT_EQ(reply.payload, offlinePaf(config, reads_));
     server.stop();
 }
 
@@ -435,7 +655,7 @@ TEST_F(ServeTest, ReloadUnderTrafficDropsAndDuplicatesNothing)
     Server server(registry, server_config);
     server.start();
 
-    const std::string expected = offlinePaf(config);
+    const std::string expected = offlinePaf(config, reads_);
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> mismatches{0};
     std::atomic<uint64_t> completed{0};
@@ -503,7 +723,7 @@ TEST_F(ServeTest, GracefulStopAnswersEveryAdmittedRequest)
     in_flight.join();
     const Reply reply = done.get_future().get();
     EXPECT_TRUE(reply.ok) << reply.code << " " << reply.message;
-    EXPECT_EQ(reply.payload, offlinePaf(config));
+    EXPECT_EQ(reply.payload, offlinePaf(config, reads_));
 }
 
 } // namespace

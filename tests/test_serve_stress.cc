@@ -5,8 +5,10 @@
  * via -L serve). Three thread populations hit one in-process daemon
  * simultaneously:
  *
- *   - MAP clients hammering the mapping path (every OK payload must
- *     be byte-identical to the offline library driver's output),
+ *   - MAP clients hammering the mapping path with small odd-sized
+ *     requests, so the dispatcher coalesces them into shared batches
+ *     (every OK payload must be byte-identical to the offline library
+ *     driver's output for exactly that request's reads),
  *   - STATS readers polling the metrics surface (exercises the
  *     lock-free LatencyHistogram reads and the residency gauges
  *     racing against writers),
@@ -99,7 +101,8 @@ class ServeStressTest : public ::testing::Test
      *  the ServeTest helper; duplicated so this binary stays
      *  self-contained for a standalone TSan run). */
     std::string
-    offlinePaf(const ServiceConfig &config) const
+    offlinePaf(const ServiceConfig &config,
+               const std::vector<ReadRecord> &reads) const
     {
         const auto reference =
             core::PreprocessedReference::load(packPath(),
@@ -107,7 +110,7 @@ class ServeStressTest : public ::testing::Test
         const core::ShardedBatchMapper mapper(
             reference, config.segram, config.batch);
         std::vector<std::string_view> seqs;
-        for (const auto &read : reads_)
+        for (const auto &read : reads)
             seqs.push_back(read.seq);
         const auto results = mapper.mapBatch(
             std::span<const std::string_view>(seqs));
@@ -117,7 +120,7 @@ class ServeStressTest : public ::testing::Test
                 continue;
             io::formatPaf(
                 paf, io::makePafRecord(
-                         reads_[i].name, reads_[i].seq.size(),
+                         reads[i].name, reads[i].seq.size(),
                          results[i].reverseComplemented ? '-' : '+',
                          results[i].chromosome,
                          reference.graph(0).totalSeqLen(),
@@ -143,29 +146,48 @@ TEST_F(ServeStressTest, ReloadStatsAndTrafficInterleaveCleanly)
     Server server(registry, server_config);
     server.start();
 
-    const std::string expected = offlinePaf(config);
+    // Odd-sized slices of the 16 reads (1 + 3 + 5 + 7), each with the
+    // offline answer for exactly its own reads.
+    struct Slice
+    {
+        std::vector<ReadRecord> reads;
+        std::string paf;
+    };
+    std::vector<Slice> slices;
+    size_t next = 0;
+    for (const size_t size : {1, 3, 5, 7}) {
+        Slice slice;
+        slice.reads.assign(
+            reads_.begin() + static_cast<ptrdiff_t>(next),
+            reads_.begin() + static_cast<ptrdiff_t>(next + size));
+        slice.paf = offlinePaf(config, slice.reads);
+        slices.push_back(std::move(slice));
+        next += size;
+    }
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> map_errors{0};
     std::atomic<uint64_t> maps_completed{0};
     std::atomic<uint64_t> stats_errors{0};
     std::atomic<uint64_t> stats_completed{0};
 
-    // Population 1: mapping traffic. BUSY is legal under load; any
-    // other failure, or a payload that is not byte-identical to the
-    // offline driver, is an error.
+    // Population 1: mapping traffic from more connections than the
+    // pool has threads, so coalesced runs interleave with the reload
+    // swaps. BUSY is legal under load; any other failure, or a payload
+    // that is not byte-identical to the offline driver, is an error.
     std::vector<std::thread> workers;
-    for (int c = 0; c < 2; ++c) {
-        workers.emplace_back([&] {
+    for (int c = 0; c < 4; ++c) {
+        workers.emplace_back([&, c] {
             auto client =
                 ServeClient::connectUnixSocket(socketPath());
-            while (!stop.load()) {
-                const Reply reply = client.mapReads("ref", reads_);
+            for (size_t k = static_cast<size_t>(c); !stop.load(); ++k) {
+                const Slice &slice = slices[k % slices.size()];
+                const Reply reply = client.mapReads("ref", slice.reads);
                 if (!reply.ok) {
                     if (reply.code != kErrBusy)
                         map_errors.fetch_add(1);
                     continue;
                 }
-                if (reply.payload != expected)
+                if (reply.payload != slice.paf)
                     map_errors.fetch_add(1);
                 maps_completed.fetch_add(1);
             }

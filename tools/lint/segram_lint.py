@@ -25,13 +25,14 @@ hot-path-graph-scan
                  or per region makes mapping cost O(graph) instead of
                  O(region). The one-shot sites (a mapper constructor,
                  a whole-graph analysis) carry an allow marker.
-bare-assert      No bare `assert(` anywhere under src/. Use
+bare-assert      No bare `assert(` in any linted file. Use
                  SEGRAM_CHECK (user input, always on, throws) or
                  SEGRAM_DCHECK (internal invariant, debug-only,
                  aborts with a message). `static_assert` is fine.
-errno-capture    In src/serve/ and src/io/, `errno` may only be
-                 reset (`errno = 0`), compared (`errno == EINTR`),
-                 or captured (`const int saved_errno = errno;`).
+errno-capture    In src/serve/, src/io/ and tools/segram_cli.cc,
+                 `errno` may only be reset (`errno = 0`), compared
+                 (`errno == EINTR`), or captured
+                 (`const int saved_errno = errno;`).
                  Passing `errno` directly as a function argument is
                  rejected: evaluation order of the other arguments
                  is unspecified, and building a message string can
@@ -48,8 +49,9 @@ Usage
 With --compile-commands, translation units are taken from the
 compile database (filtered to the repo's src/), so the lint sees
 exactly what the build builds; headers under src/ are always added
-by glob since they never appear in a compile database. Without it,
-everything under src/ is linted. Exit status: 0 clean, 1 violations,
+by glob since they never appear in a compile database, and the CLI
+(tools/segram_cli.cc) is always added too. Without it, everything
+under src/ plus the CLI is linted. Exit status: 0 clean, 1 violations,
 2 usage/internal error.
 """
 
@@ -63,7 +65,8 @@ from pathlib import Path
 
 HOT_PATH_PREFIXES = ("src/align/", "src/seed/")
 HOT_PATH_FILES = ("src/core/segram.cc", "src/graph/linearize.cc")
-ERRNO_SCOPE_PREFIXES = ("src/serve/", "src/io/")
+CLI_FILE = "tools/segram_cli.cc"
+ERRNO_SCOPE_PREFIXES = ("src/serve/", "src/io/", CLI_FILE)
 
 ALLOW_RE = re.compile(r"//\s*segram-lint:\s*allow\(([a-z-]+)\)")
 
@@ -215,6 +218,8 @@ def lint_file(root: Path, path: Path) -> list[tuple[str, int, str, str]]:
 def collect_files(root: Path, compile_commands: Path | None) -> list[Path]:
     src = root / "src"
     files = set(src.rglob("*.h"))
+    if (root / CLI_FILE).exists():
+        files.add(root / CLI_FILE)
     if compile_commands is not None:
         with open(compile_commands, encoding="utf-8") as handle:
             database = json.load(handle)

@@ -908,8 +908,10 @@ cmdServe(const ServeOptions &options)
     // Shutdown self-pipe: the handler only writes a byte; the main
     // thread does the actual (non-async-signal-safe) teardown.
     int pipe_fds[2];
-    if (::pipe2(pipe_fds, O_CLOEXEC) != 0)
-        throw IoError("pipe2() failed", errno);
+    if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+        const int saved_errno = errno;
+        throw IoError("pipe2() failed", saved_errno);
+    }
     g_shutdown_fd = pipe_fds[1];
     std::signal(SIGTERM, onShutdownSignal);
     std::signal(SIGINT, onShutdownSignal);
@@ -997,14 +999,18 @@ cmdClientMap(serve::ServeClient &client, const std::string &reference,
             errno = 0;
             if (std::fwrite(reply.payload.data(), 1,
                             reply.payload.size(),
-                            stdout) != reply.payload.size())
-                throw IoError("short write to stdout", errno);
+                            stdout) != reply.payload.size()) {
+                const int saved_errno = errno;
+                throw IoError("short write to stdout", saved_errno);
+            }
             paf_lines += reply.lines;
             total_reads += reads.size();
         }
         errno = 0;
-        if (std::fflush(stdout) != 0)
-            throw IoError("stdout flush failed", errno);
+        if (std::fflush(stdout) != 0) {
+            const int saved_errno = errno;
+            throw IoError("stdout flush failed", saved_errno);
+        }
     } catch (const IoError &error) {
         if (error.brokenPipe()) {
             std::fprintf(stderr,
