@@ -25,8 +25,11 @@
 
 #include "src/core/segram.h"
 #include "src/graph/genome_graph.h"
+#include "src/graph/gfa_import.h"
 #include "src/index/minimizer_index.h"
+#include "src/io/fasta.h"
 #include "src/io/pack.h"
+#include "src/io/vcf.h"
 #include "src/util/sync.h"
 #include "src/util/thread_annotations.h"
 
@@ -48,6 +51,8 @@ struct ChromosomeBuildInfo
     uint64_t referenceBases = 0;
     uint64_t variantsApplied = 0;
     uint64_t variantsDropped = 0;
+
+    bool operator==(const ChromosomeBuildInfo &) const = default;
 };
 
 /**
@@ -65,30 +70,58 @@ class PreprocessedReference
         std::vector<PreprocessedChromosome> chromosomes);
 
     /**
-     * Full pre-processing from files: reads the FASTA and VCF, builds
-     * one topologically sorted graph and one minimizer index per FASTA
-     * record (the paper builds "one graph for each chromosome").
+     * Full pre-processing from files: reads the FASTA and VCF, then
+     * builds as buildFromRecords does.
      *
      * @param fasta_path   Reference FASTA.
      * @param vcf_path     Variants VCF.
      * @param index_config Index parameters (bucketBits, sketch, ...).
      * @param[out] build_info Optional per-chromosome report.
+     * @param threads      Build workers; 0 = ThreadPool::defaultThreads().
      * @throws InputError on unreadable/invalid inputs.
      */
     static PreprocessedReference
     buildFromFiles(const std::string &fasta_path,
                    const std::string &vcf_path,
                    const index::IndexConfig &index_config = {},
-                   std::vector<ChromosomeBuildInfo> *build_info = nullptr);
+                   std::vector<ChromosomeBuildInfo> *build_info = nullptr,
+                   int threads = 0);
+
+    /**
+     * Full pre-processing from parsed inputs: one topologically sorted
+     * graph and one minimizer index per FASTA record (the paper builds
+     * "one graph for each chromosome").
+     *
+     * Chromosomes are built in parallel on min(@p threads, records)
+     * workers, longest first; at most that many are half-built at
+     * once. Each lands in its own slot, so the reference, the
+     * @p build_info rows and a saved pack are identical at every
+     * thread count. When chromosomes fail, the one with the lowest
+     * index is reported, as an InputError prefixed with
+     * "chromosome '<name>': " — again the same at every thread count.
+     *
+     * @param records      Reference FASTA records, in output order.
+     * @param vcf          Variants of every chromosome.
+     * @param index_config Index parameters (bucketBits, sketch, ...).
+     * @param[out] build_info Optional per-chromosome report (appended).
+     * @param threads      Build workers; 0 = ThreadPool::defaultThreads().
+     * @throws InputError on invalid inputs.
+     */
+    static PreprocessedReference
+    buildFromRecords(const std::vector<io::FastaRecord> &records,
+                     const std::vector<io::VcfRecord> &vcf,
+                     const index::IndexConfig &index_config = {},
+                     std::vector<ChromosomeBuildInfo> *build_info = nullptr,
+                     int threads = 0);
 
     /**
      * Full pre-processing from an imported GFA graph: reads the GFA,
      * splits it into per-chromosome connected components, canonically
-     * topologically sorts each (graph::importGfa), and builds one
-     * minimizer index per chromosome — the exact counterpart of
-     * buildFromFiles for externally constructed pangenome graphs. A
-     * GFA exported by `segram construct` rebuilds the same reference
-     * (same graphs, names and indexes) the FASTA+VCF route produces.
+     * topologically sorts each (graph::importGfa), and indexes them as
+     * buildFromGraphs does — the exact counterpart of buildFromFiles
+     * for externally constructed pangenome graphs. A GFA exported by
+     * `segram construct` rebuilds the same reference (same graphs,
+     * names and indexes) the FASTA+VCF route produces.
      *
      * @param gfa_path     Graph in GFA v1 (S/L and optional P/W lines).
      * @param index_config Index parameters (bucketBits, sketch, ...).
@@ -96,12 +129,25 @@ class PreprocessedReference
      *                        (referenceBases = reference-path length;
      *                        the variant counters stay zero — a GFA
      *                        carries its variants pre-applied).
+     * @param threads      Index workers; 0 = ThreadPool::defaultThreads().
      * @throws InputError on unreadable/malformed/cyclic inputs.
      */
     static PreprocessedReference
     buildFromGfa(const std::string &gfa_path,
                  const index::IndexConfig &index_config = {},
-                 std::vector<ChromosomeBuildInfo> *build_info = nullptr);
+                 std::vector<ChromosomeBuildInfo> *build_info = nullptr,
+                 int threads = 0);
+
+    /**
+     * Indexes already-built chromosome graphs (graph::importGfa's
+     * output), in parallel with the same scheduling, determinism and
+     * error rules as buildFromRecords.
+     */
+    static PreprocessedReference
+    buildFromGraphs(std::vector<graph::ImportedChromosome> chromosomes,
+                    const index::IndexConfig &index_config = {},
+                    std::vector<ChromosomeBuildInfo> *build_info = nullptr,
+                    int threads = 0);
 
     /**
      * Loads a `.segram` pack by memory-mapping it; every table borrows

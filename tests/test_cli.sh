@@ -10,7 +10,9 @@
 #     results across the refactor or thread counts fails here;
 #  3. build a .segram pack with `segram index` and require that mapping
 #     from the pack produces byte-identical PAF to mapping from
-#     FASTA+VCF — the pack round-trip contract, end to end;
+#     FASTA+VCF — the pack round-trip contract, end to end — and that
+#     a 3-chromosome pack is byte-identical at `index --threads`
+#     1/2/4, from FASTA+VCF and from GFA (the parallel build);
 #  4. reject malformed numeric flags with clean errors (no silent
 #     acceptance, no crashes), including the pipeline knobs
 #     (--max-regions/--early-exit/--chain-filter/--max-chains/
@@ -218,6 +220,42 @@ test -s "$tmp/m.paf" || {
 }
 echo "cli multi-chromosome simulate OK"
 
+# --- parallel index build: byte-identical packs at every --threads ---
+# Both graph sources; the build runs min(threads, chromosomes) workers
+# and reports its read / build / write split.
+"$bin" construct "$tmp/m.fa" "$tmp/m.vcf" "$tmp/m.gfa" 2> /dev/null
+for threads in 1 2 4; do
+    "$bin" index --threads "$threads" "$tmp/m.fa" "$tmp/m.vcf" \
+        "$tmp/m$threads.segram" 2> "$tmp/mindex$threads.log"
+    "$bin" index --threads "$threads" "$tmp/m.gfa" \
+        "$tmp/mgfa$threads.segram" 2> /dev/null
+    cmp "$tmp/m1.segram" "$tmp/m$threads.segram" || {
+        echo "FAIL: FASTA+VCF pack differs at index --threads $threads"
+        exit 1
+    }
+    cmp "$tmp/mgfa1.segram" "$tmp/mgfa$threads.segram" || {
+        echo "FAIL: GFA pack differs at index --threads $threads"
+        exit 1
+    }
+done
+"$bin" index "$tmp/m.fa" "$tmp/m.vcf" "$tmp/mdefault.segram" 2> /dev/null
+cmp "$tmp/m1.segram" "$tmp/mdefault.segram" || {
+    echo "FAIL: default-thread pack differs from index --threads 1"
+    exit 1
+}
+grep -q "read inputs .* s, build .* s on 1 worker, write pack .* s" \
+    "$tmp/mindex1.log" || {
+    echo "FAIL: index printed no read/build/write split"
+    cat "$tmp/mindex1.log"
+    exit 1
+}
+grep -q "on 3 workers" "$tmp/mindex4.log" || {
+    echo "FAIL: index --threads 4 on 3 chromosomes should use 3 workers"
+    cat "$tmp/mindex4.log"
+    exit 1
+}
+echo "cli parallel index OK (identical packs at 1/2/4 threads)"
+
 # --- GFA route: construct -> map-from-gfa, byte-identical PAF ---
 "$bin" construct "$tmp/d.fa" "$tmp/d.vcf" "$tmp/d.gfa" 2> "$tmp/gfa.log"
 grep -q "paths" "$tmp/gfa.log" || {
@@ -356,6 +394,8 @@ for bad_cmd in \
     "index --discard-top 1.5 $tmp/d.fa $tmp/d.vcf $tmp/x.segram" \
     "index --discard-top -0.1 $tmp/d.fa $tmp/d.vcf $tmp/x.segram" \
     "index --discard-top half $tmp/d.fa $tmp/d.vcf $tmp/x.segram" \
+    "index --threads 0 $tmp/d.fa $tmp/d.vcf $tmp/x.segram" \
+    "index --threads x $tmp/d.fa $tmp/d.vcf $tmp/x.segram" \
     "construct --path-coords $tmp/d.fa $tmp/d.vcf $tmp/x.gfa" \
     "eval --path-coords $tmp/e.truth.tsv $tmp/segram.paf"; do
     # shellcheck disable=SC2086

@@ -11,11 +11,15 @@
  *       chromosome names and path coordinates survive a round trip
  *       through the interchange format.
  *
- *   segram index [--bucket-bits N] [--discard-top F] [--stats]
- *                (<ref.fa> <vars.vcf> | <graph.gfa>) <out.segram>
+ *   segram index [--threads N] [--bucket-bits N] [--discard-top F]
+ *                [--stats] (<ref.fa> <vars.vcf> | <graph.gfa>)
+ *                <out.segram>
  *       Full pre-processing (Section 5): graph + minimizer index per
  *       chromosome, serialized as a `.segram` pack — raw mmap-able
  *       tables mirroring the paper's Fig. 5/Fig. 6 memory layout.
+ *       Chromosomes are built in parallel on --threads workers
+ *       (default: every hardware thread), largest first; the pack is
+ *       byte-identical at every count.
  *       The graph source is either FASTA+VCF or an imported GFA
  *       (detected by content), e.g. a vg/minigraph-style pangenome or
  *       the output of `segram construct`. --discard-top sets the
@@ -90,6 +94,7 @@
 #include "src/core/segram.h"
 #include "src/core/sharded_mapper.h"
 #include "src/eval/accuracy.h"
+#include "src/graph/gfa_import.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/variants.h"
 #include "src/io/fasta.h"
@@ -105,6 +110,7 @@
 #include "src/serve/service.h"
 #include "src/sim/dataset.h"
 #include "src/util/check.h"
+#include "src/util/thread_pool.h"
 
 namespace
 {
@@ -119,52 +125,66 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Builds from FASTA+VCF, logging one line per chromosome. */
-core::PreprocessedReference
-buildReference(const std::string &fasta_path, const std::string &vcf_path,
-               int bucket_bits,
-               double discard_top = index::IndexConfig().discardTopFraction)
+/** Wall-clock split of one reference build. */
+struct BuildTimes
 {
-    index::IndexConfig config;
-    config.bucketBits = bucket_bits;
-    config.discardTopFraction = discard_top;
-    std::vector<core::ChromosomeBuildInfo> info;
-    auto reference = core::PreprocessedReference::buildFromFiles(
-        fasta_path, vcf_path, config, &info);
-    for (size_t i = 0; i < reference.numChromosomes(); ++i) {
-        std::fprintf(
-            stderr,
-            "[segram] %s: %llu bp, %llu variants (%llu dropped), "
-            "%zu nodes, %zu edges\n",
-            info[i].name.c_str(),
-            static_cast<unsigned long long>(info[i].referenceBases),
-            static_cast<unsigned long long>(info[i].variantsApplied),
-            static_cast<unsigned long long>(info[i].variantsDropped),
-            reference.graph(i).numNodes(), reference.graph(i).numEdges());
-    }
-    return reference;
-}
+    double readSec = 0;  ///< parsing the FASTA+VCF or the GFA
+    double buildSec = 0; ///< graphs and indexes (GFA import included)
+};
 
-/** Imports a GFA graph, logging one line per recovered chromosome. */
+/**
+ * Builds the reference from FASTA+VCF — or, when @p vcf_path is
+ * empty, from the GFA at @p source_path — on @p threads build workers,
+ * logging one line per chromosome.
+ */
 core::PreprocessedReference
-buildReferenceGfa(const std::string &gfa_path, int bucket_bits,
-                  double discard_top =
-                      index::IndexConfig().discardTopFraction)
+buildReference(const std::string &source_path, const std::string &vcf_path,
+               int bucket_bits, double discard_top, int threads,
+               BuildTimes *times = nullptr)
 {
     index::IndexConfig config;
     config.bucketBits = bucket_bits;
     config.discardTopFraction = discard_top;
     std::vector<core::ChromosomeBuildInfo> info;
-    auto reference = core::PreprocessedReference::buildFromGfa(
-        gfa_path, config, &info);
+    const bool from_gfa = vcf_path.empty();
+    const auto start = std::chrono::steady_clock::now();
+    double read_sec = 0;
+    core::PreprocessedReference reference;
+    if (from_gfa) {
+        auto doc = io::readGfaFile(source_path);
+        read_sec = secondsSince(start);
+        reference = core::PreprocessedReference::buildFromGraphs(
+            graph::importGfa(std::move(doc)), config, &info, threads);
+    } else {
+        const auto records = io::readFastaFile(source_path);
+        const auto vcf = io::readVcfFile(vcf_path);
+        read_sec = secondsSince(start);
+        reference = core::PreprocessedReference::buildFromRecords(
+            records, vcf, config, &info, threads);
+    }
+    if (times != nullptr)
+        *times = {read_sec, secondsSince(start) - read_sec};
     for (size_t i = 0; i < reference.numChromosomes(); ++i) {
-        std::fprintf(
-            stderr,
-            "[segram] %s (imported GFA): %llu path bp, %zu nodes, "
-            "%zu edges\n",
-            info[i].name.c_str(),
-            static_cast<unsigned long long>(info[i].referenceBases),
-            reference.graph(i).numNodes(), reference.graph(i).numEdges());
+        const auto bases =
+            static_cast<unsigned long long>(info[i].referenceBases);
+        if (from_gfa) {
+            std::fprintf(stderr,
+                         "[segram] %s (imported GFA): %llu path bp, "
+                         "%zu nodes, %zu edges\n",
+                         info[i].name.c_str(), bases,
+                         reference.graph(i).numNodes(),
+                         reference.graph(i).numEdges());
+        } else {
+            std::fprintf(
+                stderr,
+                "[segram] %s: %llu bp, %llu variants (%llu dropped), "
+                "%zu nodes, %zu edges\n",
+                info[i].name.c_str(), bases,
+                static_cast<unsigned long long>(info[i].variantsApplied),
+                static_cast<unsigned long long>(info[i].variantsDropped),
+                reference.graph(i).numNodes(),
+                reference.graph(i).numEdges());
+        }
     }
     return reference;
 }
@@ -291,18 +311,17 @@ printOccurrences(const std::string &name,
 int
 cmdIndex(const std::string &graph_source, const std::string &vcf_path,
          const std::string &pack_path, int bucket_bits,
-         double discard_top, bool print_stats)
+         double discard_top, int threads, bool print_stats)
 {
-    const auto start = std::chrono::steady_clock::now();
     // An empty vcf_path selects the GFA import route (the caller
     // dispatched on content).
-    const auto reference =
-        vcf_path.empty()
-            ? buildReferenceGfa(graph_source, bucket_bits, discard_top)
-            : buildReference(graph_source, vcf_path, bucket_bits,
-                             discard_top);
-    const double build_sec = secondsSince(start);
+    BuildTimes times;
+    const auto reference = buildReference(graph_source, vcf_path,
+                                          bucket_bits, discard_top,
+                                          threads, &times);
+    const auto write_start = std::chrono::steady_clock::now();
     reference.save(pack_path);
+    const double write_sec = secondsSince(write_start);
     if (print_stats) {
         for (size_t i = 0; i < reference.numChromosomes(); ++i) {
             printFootprint(reference.name(i), reference.graph(i),
@@ -310,15 +329,19 @@ cmdIndex(const std::string &graph_source, const std::string &vcf_path,
             printOccurrences(reference.name(i), reference.index(i));
         }
     }
+    // The build runs min(threads, chromosomes) workers.
+    const size_t workers =
+        std::min(static_cast<size_t>(threads), reference.numChromosomes());
     std::fprintf(
         stderr,
-        "[segram] wrote %s: %zu chromosome%s, %.2f MiB "
-        "(pre-processing took %.2f s)\n",
+        "[segram] wrote %s: %zu chromosome%s, %.2f MiB (read inputs "
+        "%.2f s, build %.2f s on %zu worker%s, write pack %.2f s)\n",
         pack_path.c_str(), reference.numChromosomes(),
         reference.numChromosomes() == 1 ? "" : "s",
         static_cast<double>(std::filesystem::file_size(pack_path)) /
             (1024.0 * 1024.0),
-        build_sec);
+        times.readSec, times.buildSec, workers, workers == 1 ? "" : "s",
+        write_sec);
     return 0;
 }
 
@@ -432,13 +455,10 @@ cmdMap(const MapOptions &options)
         from_pack
             ? core::PreprocessedReference::load(options.packPath,
                                                 load_options)
-            : (from_gfa
-                   ? buildReferenceGfa(options.gfaPath,
-                                       options.bucketBits,
-                                       options.discardTop)
-                   : buildReference(options.fastaPath, options.vcfPath,
-                                    options.bucketBits,
-                                    options.discardTop));
+            : buildReference(from_gfa ? options.gfaPath
+                                      : options.fastaPath,
+                             options.vcfPath, options.bucketBits,
+                             options.discardTop, options.threads);
     const double preprocess_sec = secondsSince(preprocess_start);
 
     // Per-chromosome PAF target metadata: concatenated-graph
@@ -1081,10 +1101,10 @@ usage()
         stderr,
         "usage:\n"
         "  segram construct <ref.fa> <vars.vcf> <out.gfa>\n"
-        "  segram index [--bucket-bits N] [--discard-top F] [--stats] "
-        "<ref.fa> <vars.vcf> <out.segram>\n"
-        "  segram index [--bucket-bits N] [--discard-top F] [--stats] "
-        "<graph.gfa> <out.segram>\n"
+        "  segram index [--threads N] [--bucket-bits N] [--discard-top F] "
+        "[--stats] <ref.fa> <vars.vcf> <out.segram>\n"
+        "  segram index [--threads N] [--bucket-bits N] [--discard-top F] "
+        "[--stats] <graph.gfa> <out.segram>\n"
         "  segram map [--threads N] [--batch N] [--bucket-bits N] "
         "[--discard-top F] [--engine segram|graphaligner|vg] [--stats]\n"
         "             [--max-regions N] [--early-exit F] "
@@ -1405,8 +1425,14 @@ main(int argc, char **argv)
             return cmdConstruct(pos[1], pos[2], pos[3]);
         }
         if (pos.size() >= 3 && pos[0] == "index") {
-            args.requireFlagsApplyTo(
-                "index", {"--bucket-bits", "--discard-top", "--stats"});
+            args.requireFlagsApplyTo("index",
+                                     {"--threads", "--bucket-bits",
+                                      "--discard-top", "--stats"});
+            // The build defaults to every hardware thread: its output
+            // is byte-identical at any count.
+            const int threads = args.seen("--threads")
+                                    ? args.threads
+                                    : util::ThreadPool::defaultThreads();
             // Graph source by content: an imported GFA replaces the
             // FASTA+VCF pair (and needs no VCF positional). Exactly
             // two positionals then — with a stray third one, pos[2]
@@ -1417,13 +1443,13 @@ main(int argc, char **argv)
                              "index from a GFA takes exactly "
                              "<graph.gfa> <out.segram>");
                 return cmdIndex(pos[1], "", pos[2], args.bucketBits,
-                                args.discardTop, args.stats);
+                                args.discardTop, threads, args.stats);
             }
             SEGRAM_CHECK(pos.size() >= 4,
                          "index needs <ref.fa> <vars.vcf> <out.segram> "
                          "(or <graph.gfa> <out.segram>)");
             return cmdIndex(pos[1], pos[2], pos[3], args.bucketBits,
-                            args.discardTop, args.stats);
+                            args.discardTop, threads, args.stats);
         }
         if (pos.size() >= 3 && pos[0] == "map") {
             args.requireFlagsApplyTo(
