@@ -58,12 +58,12 @@ chainRegion(const Chain &chain, size_t read_len, double error_rate,
 
 } // namespace
 
-core::MultiMapResult
+core::MapResult
 foldBaselineResult(const BaselineMapResult &result,
                    const BaselineStats &delta,
                    core::PipelineStats *stats)
 {
-    core::MultiMapResult folded;
+    core::MapResult folded;
     folded.mapped = result.mapped;
     folded.linearStart = result.linearStart;
     folded.editDistance = result.editDistance;
@@ -80,17 +80,18 @@ foldBaselineResult(const BaselineMapResult &result,
     return folded;
 }
 
-core::MultiMapResult
-GraphAlignerLike::mapOne(std::string_view read,
-                         core::PipelineStats *stats) const
+core::MapResult
+GraphAlignerLike::mapOne(std::string_view read, core::PipelineStats *stats,
+                         core::MapWorkspace & /*workspace*/) const
 {
     BaselineStats delta;
     const BaselineMapResult result = map(read, &delta);
     return foldBaselineResult(result, delta, stats);
 }
 
-core::MultiMapResult
-VgLike::mapOne(std::string_view read, core::PipelineStats *stats) const
+core::MapResult
+VgLike::mapOne(std::string_view read, core::PipelineStats *stats,
+               core::MapWorkspace & /*workspace*/) const
 {
     BaselineStats delta;
     const BaselineMapResult result = map(read, &delta);

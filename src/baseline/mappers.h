@@ -78,13 +78,13 @@ struct BaselineConfig
 
 /**
  * Folds one read's BaselineMapResult/BaselineStats into the engine
- * types so the baselines ride the same MappingEngine/BatchMapper rails
- * as SeGraM: seedsExtended maps to regionsAligned, a successful map to
- * alignmentsFound, and the baselines produce no CIGAR.
+ * types so the baselines ride the same MappingEngine/ShardedBatchMapper
+ * rails as SeGraM: seedsExtended maps to regionsAligned, a successful
+ * map to alignmentsFound, and the baselines produce no CIGAR.
  */
-core::MultiMapResult foldBaselineResult(const BaselineMapResult &result,
-                                        const BaselineStats &delta,
-                                        core::PipelineStats *stats);
+core::MapResult foldBaselineResult(const BaselineMapResult &result,
+                                   const BaselineStats &delta,
+                                   core::PipelineStats *stats);
 
 /** GraphAligner-shaped mapper: chaining + bitvector alignment. */
 class GraphAlignerLike : public core::MappingEngine
@@ -97,11 +97,10 @@ class GraphAlignerLike : public core::MappingEngine
     BaselineMapResult map(std::string_view read,
                           BaselineStats *stats = nullptr) const;
 
-    /** MappingEngine interface. */
-    using core::MappingEngine::mapOne; // keep the workspace overload
-    core::MultiMapResult
-    mapOne(std::string_view read,
-           core::PipelineStats *stats = nullptr) const override;
+    /** MappingEngine interface (no scratch to reuse). */
+    core::MapResult mapOne(std::string_view read,
+                           core::PipelineStats *stats,
+                           core::MapWorkspace &workspace) const override;
     std::string_view engineName() const override
     {
         return "graphaligner-like";
@@ -124,11 +123,10 @@ class VgLike : public core::MappingEngine
     BaselineMapResult map(std::string_view read,
                           BaselineStats *stats = nullptr) const;
 
-    /** MappingEngine interface. */
-    using core::MappingEngine::mapOne; // keep the workspace overload
-    core::MultiMapResult
-    mapOne(std::string_view read,
-           core::PipelineStats *stats = nullptr) const override;
+    /** MappingEngine interface (no scratch to reuse). */
+    core::MapResult mapOne(std::string_view read,
+                           core::PipelineStats *stats,
+                           core::MapWorkspace &workspace) const override;
     std::string_view engineName() const override { return "vg-like"; }
 
   private:

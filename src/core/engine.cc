@@ -6,80 +6,19 @@
 namespace segram::core
 {
 
-std::vector<MultiMapResult>
-MappingEngine::mapBatch(std::span<const std::string_view> reads,
-                        PipelineStats *stats) const
-{
-    std::vector<MultiMapResult> results(reads.size());
-    MapWorkspace workspace; // warm across the whole batch
-    mapMany(reads, results, stats, workspace);
-    return results;
-}
-
-MultiChromosomeEngine::MultiChromosomeEngine(std::vector<Entry> entries,
-                                             std::string name)
-    : entries_(std::move(entries)), name_(std::move(name))
-{
-    SEGRAM_CHECK(!entries_.empty(),
-                 "MultiChromosomeEngine needs at least one chromosome");
-    for (const auto &entry : entries_)
-        SEGRAM_CHECK(entry.engine != nullptr,
-                     "null engine for chromosome " + entry.chromosome);
-}
-
-MultiMapResult
-MultiChromosomeEngine::mapOne(std::string_view read,
-                              PipelineStats *stats) const
-{
-    MapWorkspace workspace;
-    return mapOne(read, stats, workspace);
-}
-
-MultiMapResult
-MultiChromosomeEngine::mapOne(std::string_view read, PipelineStats *stats,
-                              MapWorkspace &workspace) const
-{
-    MultiMapResult best;
-    PipelineStats local;
-    for (const auto &entry : entries_) {
-        const MultiMapResult result =
-            entry.engine->mapOne(read, &local, workspace);
-        if (result.mapped &&
-            (!best.mapped || result.editDistance < best.editDistance)) {
-            best = result;
-            best.chromosome = entry.chromosome;
-        }
-    }
-    if (stats != nullptr) {
-        // Per-chromosome passes were one logical read; fold the
-        // read-level counters while keeping the work counters summed.
-        local.readsTotal = 1;
-        local.readsMapped = best.mapped ? 1 : 0;
-        *stats += local;
-    }
-    return best;
-}
-
 RcRetryEngine::RcRetryEngine(std::unique_ptr<MappingEngine> inner)
     : inner_(std::move(inner))
 {
     SEGRAM_CHECK(inner_ != nullptr, "RcRetryEngine needs an engine");
 }
 
-MultiMapResult
-RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats) const
-{
-    MapWorkspace workspace;
-    return mapOne(read, stats, workspace);
-}
-
-MultiMapResult
+MapResult
 RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats,
                       MapWorkspace &workspace) const
 {
     PipelineStats local;
-    MultiMapResult forward = inner_->mapOne(read, &local, workspace);
-    MultiMapResult reverse;
+    MapResult forward = inner_->mapOne(read, &local, workspace);
+    MapResult reverse;
     // A perfect forward alignment cannot be beaten (ties keep the
     // forward strand), so skip the RC pass for it.
     if (!forward.mapped || forward.editDistance > 0) {
@@ -92,7 +31,7 @@ RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats,
         reverse.mapped &&
         (!forward.mapped ||
          reverse.editDistance < forward.editDistance);
-    MultiMapResult &best = take_reverse ? reverse : forward;
+    MapResult &best = take_reverse ? reverse : forward;
     if (stats != nullptr) {
         // Both strand passes were one logical read.
         local.readsTotal = 1;
@@ -100,65 +39,6 @@ RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats,
         *stats += local;
     }
     return best;
-}
-
-BatchMapper::BatchMapper(const MappingEngine &engine,
-                         const BatchConfig &config)
-    : engine_(engine), config_(config),
-      pool_(config.threads > 0 ? config.threads
-                               : util::ThreadPool::defaultThreads()),
-      workspaces_(static_cast<size_t>(pool_.size()))
-{
-    SEGRAM_CHECK(config.chunkSize >= 1, "chunkSize must be >= 1");
-}
-
-std::vector<MultiMapResult>
-BatchMapper::mapBatch(std::span<const std::string_view> reads,
-                      PipelineStats *stats) const
-{
-    std::vector<MultiMapResult> results(reads.size());
-    if (reads.empty())
-        return results;
-
-    // One private accumulator per worker; merged once at the end.
-    // The merge is a commutative sum, so the totals are independent
-    // of which worker mapped which chunk.
-    std::vector<PipelineStats> worker_stats(
-        static_cast<size_t>(pool_.size()));
-    pool_.parallelFor(
-        reads.size(), config_.chunkSize,
-        [&](size_t begin, size_t end, int worker) {
-            PipelineStats *local =
-                stats != nullptr
-                    ? &worker_stats[static_cast<size_t>(worker)]
-                    : nullptr;
-            // Each worker computes out of its private workspace — the
-            // per-channel scratchpad; buffers stay warm across chunks.
-            // One mapMany per chunk lets the engine batch window
-            // computations across the chunk's reads; chunk boundaries
-            // depend only on chunkSize, so batch groupings (and with
-            // them results and counters) are thread-count-invariant.
-            MapWorkspace &workspace =
-                workspaces_[static_cast<size_t>(worker)];
-            engine_.mapMany(
-                reads.subspan(begin, end - begin),
-                std::span<MultiMapResult>(results).subspan(
-                    begin, end - begin),
-                local, workspace);
-        });
-    if (stats != nullptr) {
-        for (const auto &partial : worker_stats)
-            *stats += partial;
-    }
-    return results;
-}
-
-std::vector<MultiMapResult>
-BatchMapper::mapBatch(std::span<const std::string> reads,
-                      PipelineStats *stats) const
-{
-    std::vector<std::string_view> views(reads.begin(), reads.end());
-    return mapBatch(std::span<const std::string_view>(views), stats);
 }
 
 } // namespace segram::core

@@ -1,53 +1,46 @@
 /**
  * @file
- * The mapping-engine abstraction and its batch driver.
+ * The mapping-engine abstraction.
  *
  * SeGraM's throughput story is read-level parallelism: the paper
  * provisions one MinSeed+BitAlign module pair per HBM2E channel, all
  * pairs sharing only the read-only graph and index, and scales
  * linearly across channels. `MappingEngine` is the software contract
- * that makes the same story expressible here: any end-to-end mapper
- * (SegramMapper, MultiGraphMapper, the sequence-to-sequence baselines)
- * exposes a uniform per-read `mapOne` and batched `mapBatch`, and
- * `BatchMapper` shards a batch of independent reads across a thread
- * pool — each worker standing in for one channel's module pair —
- * with results that are bit-identical regardless of thread count.
+ * that makes the same story expressible here: any single-chromosome
+ * mapper (SegramMapper, the sequence-to-sequence baselines) exposes a
+ * per-read `mapOne` and a group `mapMany`, and ShardedBatchMapper
+ * (src/core/sharded_mapper.h) — the one batch driver — runs one engine
+ * per chromosome across a thread pool, each worker standing in for one
+ * channel's module pair, and merges the per-chromosome results.
  *
- * This header owns the pipeline result/statistics types (`MapResult`,
- * `MultiMapResult`, `PipelineStats`); src/core/segram.h layers the
- * concrete SeGraM pipeline on top.
+ * The pipeline result/statistics types (`MapResult`, `PipelineStats`)
+ * live in src/core/map_result.h; src/core/segram.h layers the concrete
+ * SeGraM pipeline on top.
  */
 
 #ifndef SEGRAM_SRC_CORE_ENGINE_H
 #define SEGRAM_SRC_CORE_ENGINE_H
 
-#include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/core/map_result.h"
 #include "src/core/workspace.h"
-#include "src/seed/minseed.h"
-#include "src/util/cigar.h"
-#include "src/util/thread_pool.h"
 
 namespace segram::core
 {
 
-// MapResult, MultiMapResult, StageTimings and PipelineStats live in
-// src/core/map_result.h (re-exported via the include above).
-
 /**
- * Uniform interface over every end-to-end mapper in the repo.
+ * Uniform interface over every single-chromosome mapper in the repo.
+ * Naming the chromosome is the batch driver's job, so engines return
+ * plain MapResults.
  *
  * Thread-safety contract (the software equivalent of the paper's
- * shared read-only graph+index across channel modules): `mapOne` must
- * be safe to call concurrently from multiple threads on one engine
- * instance, and per-call state must be confined to the stack and the
- * caller-supplied stats accumulator.
+ * shared read-only graph+index across channel modules): `mapOne` and
+ * `mapMany` must be safe to call concurrently from multiple threads on
+ * one engine instance, with per-call state confined to the stack, the
+ * caller-supplied stats accumulator and the caller's workspace.
  */
 class MappingEngine
 {
@@ -60,25 +53,13 @@ class MappingEngine
      * @param read       Query read (ACGT, non-empty).
      * @param[out] stats Optional counter accumulator; when null, no
      *                   counters are kept.
+     * @param workspace  Scratch buffers; engines whose hot path
+     *                   supports reuse stay allocation-free out of a
+     *                   warm one. Must not be shared between
+     *                   concurrent calls.
      */
-    virtual MultiMapResult mapOne(std::string_view read,
-                                  PipelineStats *stats = nullptr) const = 0;
-
-    /**
-     * Workspace-borrowing variant of mapOne: engines whose hot path
-     * supports buffer reuse (SegramMapper and its wrappers) override
-     * this to compute out of @p workspace and stay allocation-free in
-     * steady state. The default forwards to the plain mapOne, so every
-     * engine accepts a workspace even if it cannot exploit it.
-     * @p workspace must not be shared between concurrent calls.
-     */
-    virtual MultiMapResult
-    mapOne(std::string_view read, PipelineStats *stats,
-           MapWorkspace &workspace) const
-    {
-        (void)workspace;
-        return mapOne(read, stats);
-    }
+    virtual MapResult mapOne(std::string_view read, PipelineStats *stats,
+                             MapWorkspace &workspace) const = 0;
 
     /**
      * Maps a group of reads out of one workspace, results positional
@@ -92,68 +73,15 @@ class MappingEngine
      */
     virtual void
     mapMany(std::span<const std::string_view> reads,
-            std::span<MultiMapResult> results, PipelineStats *stats,
+            std::span<MapResult> results, PipelineStats *stats,
             MapWorkspace &workspace) const
     {
         for (size_t i = 0; i < reads.size(); ++i)
             results[i] = mapOne(reads[i], stats, workspace);
     }
 
-    /**
-     * Maps a batch of reads sequentially, in order. Results are
-     * positional: result[i] belongs to reads[i]. BatchMapper is the
-     * multi-threaded driver over this same contract. Implemented as
-     * one mapMany over the whole batch, so engines with a cross-read
-     * batched path use it here too.
-     */
-    virtual std::vector<MultiMapResult>
-    mapBatch(std::span<const std::string_view> reads,
-             PipelineStats *stats = nullptr) const;
-
     /** Short stable identifier ("segram", "vg-like", ...). */
     virtual std::string_view engineName() const = 0;
-};
-
-/**
- * Lifts any single-graph MappingEngine to a multi-chromosome
- * reference: one engine per chromosome, each read mapped against all
- * of them, best alignment wins (lowest edit distance among mapped;
- * ties go to the earlier chromosome, so results are deterministic).
- *
- * MultiGraphMapper is the hand-fused SeGraM instance of this shape;
- * this generic wrapper is what lets the CPU baselines (GraphAligner-
- * and vg-like) ride the same CLI and accuracy harness on the same
- * multi-chromosome references.
- */
-class MultiChromosomeEngine : public MappingEngine
-{
-  public:
-    /** One chromosome's engine (owned). */
-    struct Entry
-    {
-        std::string chromosome;
-        std::unique_ptr<MappingEngine> engine;
-    };
-
-    /**
-     * @param entries Per-chromosome engines, in reference order.
-     * @param name    Stable engineName() for reports.
-     * @throws InputError when empty or any engine is null.
-     */
-    MultiChromosomeEngine(std::vector<Entry> entries, std::string name);
-
-    MultiMapResult mapOne(std::string_view read,
-                          PipelineStats *stats = nullptr) const override;
-    /** Lends @p workspace to every per-chromosome engine in turn. */
-    MultiMapResult mapOne(std::string_view read, PipelineStats *stats,
-                          MapWorkspace &workspace) const override;
-    std::string_view engineName() const override { return name_; }
-
-    size_t numChromosomes() const { return entries_.size(); }
-
-  private:
-    std::vector<Entry> entries_;
-    std::string name_;
 };
 
 /**
@@ -173,11 +101,9 @@ class RcRetryEngine : public MappingEngine
     /** @throws InputError when @p inner is null. */
     explicit RcRetryEngine(std::unique_ptr<MappingEngine> inner);
 
-    MultiMapResult mapOne(std::string_view read,
-                          PipelineStats *stats = nullptr) const override;
     /** Uses the workspace's RC buffer and lends the rest to @p inner. */
-    MultiMapResult mapOne(std::string_view read, PipelineStats *stats,
-                          MapWorkspace &workspace) const override;
+    MapResult mapOne(std::string_view read, PipelineStats *stats,
+                     MapWorkspace &workspace) const override;
     std::string_view engineName() const override
     {
         return inner_->engineName();
@@ -185,75 +111,6 @@ class RcRetryEngine : public MappingEngine
 
   private:
     std::unique_ptr<MappingEngine> inner_;
-};
-
-/** BatchMapper knobs. */
-struct BatchConfig
-{
-    /**
-     * Worker threads; <= 0 picks the host's hardware concurrency.
-     * One worker models one HBM channel's MinSeed+BitAlign pair.
-     */
-    int threads = 1;
-
-    /**
-     * Reads claimed by a worker at a time. Small enough to balance
-     * skewed per-read cost (a repeat-heavy read can be 100x the
-     * median), large enough to amortize the claim.
-     */
-    size_t chunkSize = 8;
-};
-
-/**
- * Multi-threaded batch driver over any MappingEngine.
- *
- * Results are written by read index and per-worker `PipelineStats`
- * are merged by commutative sums, so output and stats are identical
- * for every thread count — determinism is part of the contract, not
- * luck. One BatchMapper owns one thread pool; `mapBatch` calls must
- * be serialized by the caller (the pool runs one job at a time).
- */
-class BatchMapper
-{
-  public:
-    /**
-     * @param engine Backend mapper; must outlive the BatchMapper and
-     *               honour the MappingEngine thread-safety contract.
-     */
-    explicit BatchMapper(const MappingEngine &engine,
-                         const BatchConfig &config = {});
-
-    /**
-     * Maps reads[i] -> result[i] across the worker pool.
-     *
-     * @param[out] stats Optional accumulator; receives exactly the
-     *                   sum every worker accumulated (merged once,
-     *                   after the batch completes).
-     */
-    std::vector<MultiMapResult>
-    mapBatch(std::span<const std::string_view> reads,
-             PipelineStats *stats = nullptr) const;
-
-    /** Convenience overload for owned-string batches. */
-    std::vector<MultiMapResult>
-    mapBatch(std::span<const std::string> reads,
-             PipelineStats *stats = nullptr) const;
-
-    int threads() const { return pool_.size(); }
-    const MappingEngine &engine() const { return engine_; }
-
-  private:
-    const MappingEngine &engine_;
-    BatchConfig config_;
-    /** Internally synchronized; mapBatch is logically const. */
-    mutable util::ThreadPool pool_;
-    /**
-     * One workspace per pool worker — the software image of each HBM
-     * channel module's private scratchpad. workspaces_[w] is only ever
-     * touched by worker w, so no synchronization is needed; `mutable`
-     * because scratch reuse does not change observable mapper state.
-     */
-    mutable std::vector<MapWorkspace> workspaces_;
 };
 
 } // namespace segram::core

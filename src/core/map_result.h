@@ -4,7 +4,7 @@
  * engine.h so lower layers (the per-thread MapWorkspace, whose
  * strand-task slots stage per-strand MapResults for the lane-batched
  * scheduler) can name them without pulling in the engine interface.
- * engine.h re-exports everything here; existing includes keep working.
+ * engine.h re-exports everything here.
  */
 
 #ifndef SEGRAM_SRC_CORE_MAP_RESULT_H
@@ -31,8 +31,8 @@ struct MapResult
     bool reverseComplemented = false;
 };
 
-/** Map result extended with the winning chromosome (empty when the
- *  engine maps against a single anonymous reference). */
+/** Map result extended with the winning chromosome: the batch
+ *  driver's (ShardedBatchMapper's) output. */
 struct MultiMapResult : MapResult
 {
     std::string chromosome;

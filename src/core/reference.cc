@@ -300,15 +300,4 @@ ShardResidency::stats() const
     return stats_;
 }
 
-std::vector<ChromosomeRef>
-PreprocessedReference::chromosomeRefs() const
-{
-    std::vector<ChromosomeRef> refs;
-    refs.reserve(chromosomes_.size());
-    for (const auto &chromosome : chromosomes_)
-        refs.push_back(
-            {chromosome.name, &chromosome.graph, &chromosome.index});
-    return refs;
-}
-
 } // namespace segram::core

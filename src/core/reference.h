@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/segram.h"
 #include "src/graph/genome_graph.h"
 #include "src/graph/gfa_import.h"
 #include "src/index/minimizer_index.h"
@@ -180,12 +179,6 @@ class PreprocessedReference
     {
         return chromosomes_;
     }
-
-    /**
-     * @return ChromosomeRef views for MultiGraphMapper; pointees live
-     *         inside this reference, which must outlive the mapper.
-     */
-    std::vector<ChromosomeRef> chromosomeRefs() const;
 
     /** @return True when the tables are backed by a mapped pack. */
     bool fromPack() const { return pack_ != nullptr; }

@@ -222,12 +222,12 @@ SegramMapper::mapRead(std::string_view read, PipelineStats *stats,
 }
 
 void
-SegramMapper::mapReads(std::span<const std::string_view> reads,
-                       std::span<MapResult> results, PipelineStats *stats,
-                       MapWorkspace &workspace) const
+SegramMapper::mapMany(std::span<const std::string_view> reads,
+                      std::span<MapResult> results, PipelineStats *stats,
+                      MapWorkspace &workspace) const
 {
     SEGRAM_CHECK(reads.size() == results.size(),
-                 "mapReads spans must be equal-sized");
+                 "mapMany spans must be equal-sized");
     if (reads.empty())
         return;
 
@@ -565,138 +565,6 @@ SegramMapper::mapReads(std::span<const std::string_view> reads,
     local.readsTotal = reads.size();
     if (stats != nullptr)
         *stats += local;
-}
-
-void
-SegramMapper::mapMany(std::span<const std::string_view> reads,
-                      std::span<MultiMapResult> results,
-                      PipelineStats *stats, MapWorkspace &workspace) const
-{
-    SEGRAM_CHECK(reads.size() == results.size(),
-                 "mapMany spans must be equal-sized");
-    workspace.batchResults.resize(reads.size());
-    mapReads(reads, workspace.batchResults, stats, workspace);
-    for (size_t i = 0; i < reads.size(); ++i) {
-        static_cast<MapResult &>(results[i]) =
-            std::move(workspace.batchResults[i]);
-        results[i].chromosome.clear();
-    }
-}
-
-MultiMapResult
-SegramMapper::mapOne(std::string_view read, PipelineStats *stats) const
-{
-    MultiMapResult result;
-    static_cast<MapResult &>(result) = mapRead(read, stats);
-    return result;
-}
-
-MultiMapResult
-SegramMapper::mapOne(std::string_view read, PipelineStats *stats,
-                     MapWorkspace &workspace) const
-{
-    MultiMapResult result;
-    static_cast<MapResult &>(result) = mapRead(read, stats, workspace);
-    return result;
-}
-
-MultiGraphMapper::MultiGraphMapper(std::vector<ChromosomeRef> chromosomes,
-                                   const SegramConfig &config)
-{
-    SEGRAM_CHECK(!chromosomes.empty(),
-                 "MultiGraphMapper needs at least one chromosome");
-    names_.reserve(chromosomes.size());
-    mappers_.reserve(chromosomes.size());
-    for (const auto &chromosome : chromosomes) {
-        SEGRAM_CHECK(chromosome.graph != nullptr &&
-                         chromosome.index != nullptr,
-                     "chromosome graph/index must not be null");
-        names_.push_back(chromosome.name);
-        mappers_.emplace_back(*chromosome.graph, *chromosome.index,
-                              config);
-    }
-}
-
-MultiGraphMapper::MultiGraphMapper(const PreprocessedReference &reference,
-                                   const SegramConfig &config)
-    : MultiGraphMapper(reference.chromosomeRefs(), config)
-{
-}
-
-MultiMapResult
-MultiGraphMapper::mapRead(std::string_view read,
-                          PipelineStats *stats) const
-{
-    MapWorkspace workspace;
-    return mapRead(read, stats, workspace);
-}
-
-MultiMapResult
-MultiGraphMapper::mapRead(std::string_view read, PipelineStats *stats,
-                          MapWorkspace &workspace) const
-{
-    MultiMapResult best;
-    PipelineStats local;
-    for (size_t c = 0; c < mappers_.size(); ++c) {
-        const MapResult result =
-            mappers_[c].mapRead(read, &local, workspace);
-        if (result.mapped &&
-            (!best.mapped || result.editDistance < best.editDistance)) {
-            static_cast<MapResult &>(best) = result;
-            best.chromosome = names_[c];
-        }
-    }
-    if (stats != nullptr) {
-        // Per-chromosome passes were one logical read; fold the
-        // read-level counters while keeping the work counters summed.
-        local.readsTotal = 1;
-        local.readsMapped = best.mapped ? 1 : 0;
-        *stats += local;
-    }
-    return best;
-}
-
-void
-MultiGraphMapper::mapMany(std::span<const std::string_view> reads,
-                          std::span<MultiMapResult> results,
-                          PipelineStats *stats,
-                          MapWorkspace &workspace) const
-{
-    SEGRAM_CHECK(reads.size() == results.size(),
-                 "mapMany spans must be equal-sized");
-    if (reads.empty())
-        return;
-    PipelineStats local;
-    PipelineStats *local_ptr = stats != nullptr ? &local : nullptr;
-    for (MultiMapResult &result : results)
-        result = MultiMapResult{};
-    // Chromosome-major: each chromosome's lane-batched pass covers the
-    // whole group, then the per-read merge applies mapRead's rule
-    // (lowest edit distance, ties to the earlier chromosome).
-    for (size_t c = 0; c < mappers_.size(); ++c) {
-        workspace.batchResults.resize(reads.size());
-        mappers_[c].mapReads(reads, workspace.batchResults, local_ptr,
-                             workspace);
-        for (size_t i = 0; i < reads.size(); ++i) {
-            MapResult &result = workspace.batchResults[i];
-            if (result.mapped &&
-                (!results[i].mapped ||
-                 result.editDistance < results[i].editDistance)) {
-                static_cast<MapResult &>(results[i]) = std::move(result);
-                results[i].chromosome = names_[c];
-            }
-        }
-    }
-    if (stats != nullptr) {
-        // Per-chromosome passes were one logical read each; fold the
-        // read-level counters while keeping the work counters summed.
-        local.readsTotal = reads.size();
-        local.readsMapped = 0;
-        for (const MultiMapResult &result : results)
-            if (result.mapped)
-                ++local.readsMapped;
-        *stats += local;
-    }
 }
 
 } // namespace segram::core

@@ -85,10 +85,6 @@ struct SegramConfig
     seed::ChainConfig chain;
 };
 
-// MapResult, MultiMapResult and PipelineStats live in
-// src/core/engine.h with the MappingEngine interface they travel
-// through; this header re-exports them via that include.
-
 /** The end-to-end mapper. */
 class SegramMapper : public MappingEngine
 {
@@ -129,19 +125,21 @@ class SegramMapper : public MappingEngine
      * slab, CIGAR scratch) lives in @p workspace, so a warm workspace
      * makes the whole per-read flow allocation-free. Results are
      * bit-identical to the convenience overload. @p workspace must not
-     * be shared between concurrent calls.
+     * be shared between concurrent calls. This sequential per-read
+     * flow is the oracle the lane-batched mapMany is tested against.
      */
     MapResult mapRead(std::string_view read, PipelineStats *stats,
                       MapWorkspace &workspace) const;
 
     /**
-     * Lane-batched group mapper: maps reads[i] -> results[i] (spans
-     * must be equal-sized) with the region-stream scheduler. Up to
-     * bitops::kBatchLanes candidate-region window streams are in
-     * flight at once — normally from different strand tasks (read x
-     * orientation, claimed in read order), and, when nothing else can
-     * fill a lane, speculatively from later regions of a task whose
-     * early-exit check is still pending. Each round, every pending
+     * MappingEngine interface: the lane-batched group mapper. Maps
+     * reads[i] -> results[i] (spans must be equal-sized) with the
+     * region-stream scheduler. Up to bitops::kBatchLanes
+     * candidate-region window streams are in flight at once —
+     * normally from different strand tasks (read x orientation,
+     * claimed in read order), and, when nothing else can fill a lane,
+     * speculatively from later regions of a task whose early-exit
+     * check is still pending. Each round, every pending
      * window request joins one lane-batched kernel launch (mixed
      * widths pad to the widest); a lone draining lane takes the
      * per-window path. Region outcomes commit strictly in region
@@ -151,19 +149,17 @@ class SegramMapper : public MappingEngine
      * counter is bit-identical to a mapRead loop — only the window
      * computations are co-scheduled.
      */
-    void mapReads(std::span<const std::string_view> reads,
-                  std::span<MapResult> results, PipelineStats *stats,
-                  MapWorkspace &workspace) const;
-
-    /** MappingEngine interface (chromosome is left empty). */
-    MultiMapResult mapOne(std::string_view read,
-                          PipelineStats *stats = nullptr) const override;
-    MultiMapResult mapOne(std::string_view read, PipelineStats *stats,
-                          MapWorkspace &workspace) const override;
-    /** Routes through the lane-batched mapReads scheduler. */
     void mapMany(std::span<const std::string_view> reads,
-                 std::span<MultiMapResult> results, PipelineStats *stats,
+                 std::span<MapResult> results, PipelineStats *stats,
                  MapWorkspace &workspace) const override;
+
+    /** MappingEngine interface: mapRead. */
+    MapResult
+    mapOne(std::string_view read, PipelineStats *stats,
+           MapWorkspace &workspace) const override
+    {
+        return mapRead(read, stats, workspace);
+    }
     std::string_view engineName() const override { return "segram"; }
 
     const SegramConfig &config() const { return config_; }
@@ -186,80 +182,6 @@ class SegramMapper : public MappingEngine
     const index::MinimizerIndex &index_;
     SegramConfig config_;
     seed::MinSeed minseed_;
-};
-
-/** One chromosome entry of a multi-chromosome reference. */
-struct ChromosomeRef
-{
-    std::string name;
-    const graph::GenomeGraph *graph = nullptr;
-    const index::MinimizerIndex *index = nullptr;
-};
-
-/**
- * Maps reads against a set of per-chromosome graphs — the paper builds
- * "one graph for each chromosome" and distributes them across HBM
- * channels; this is the software equivalent, picking the chromosome
- * with the best alignment.
- */
-class MultiGraphMapper : public MappingEngine
-{
-  public:
-    /**
-     * @param chromosomes Per-chromosome graphs/indexes (pointees must
-     *                    outlive the mapper).
-     * @throws InputError when empty or any pointer is null.
-     */
-    MultiGraphMapper(std::vector<ChromosomeRef> chromosomes,
-                     const SegramConfig &config = {});
-
-    /**
-     * Binds every chromosome of a pre-processed reference (built fresh
-     * or mmap-loaded from a pack). @p reference must outlive the
-     * mapper.
-     */
-    explicit MultiGraphMapper(const PreprocessedReference &reference,
-                              const SegramConfig &config = {});
-
-    /** Maps one read against every chromosome; returns the best hit. */
-    MultiMapResult mapRead(std::string_view read,
-                           PipelineStats *stats = nullptr) const;
-
-    /** Workspace-borrowing variant (lent to each chromosome in turn). */
-    MultiMapResult mapRead(std::string_view read, PipelineStats *stats,
-                           MapWorkspace &workspace) const;
-
-    /** MappingEngine interface. */
-    MultiMapResult
-    mapOne(std::string_view read,
-           PipelineStats *stats = nullptr) const override
-    {
-        return mapRead(read, stats);
-    }
-    MultiMapResult
-    mapOne(std::string_view read, PipelineStats *stats,
-           MapWorkspace &workspace) const override
-    {
-        return mapRead(read, stats, workspace);
-    }
-    /**
-     * Group mapper: runs each chromosome's lane-batched mapReads over
-     * the whole group, merging per read with the same best-chromosome
-     * rule as mapRead. Bit-identical to a mapRead loop.
-     */
-    void mapMany(std::span<const std::string_view> reads,
-                 std::span<MultiMapResult> results, PipelineStats *stats,
-                 MapWorkspace &workspace) const override;
-    std::string_view engineName() const override
-    {
-        return "segram-multigraph";
-    }
-
-    size_t numChromosomes() const { return mappers_.size(); }
-
-  private:
-    std::vector<std::string> names_;
-    std::vector<SegramMapper> mappers_;
 };
 
 } // namespace segram::core

@@ -7,10 +7,23 @@
 namespace segram::core
 {
 
+std::vector<std::unique_ptr<MappingEngine>>
+segramEngines(const PreprocessedReference &reference,
+              const SegramConfig &config)
+{
+    std::vector<std::unique_ptr<MappingEngine>> engines;
+    engines.reserve(reference.numChromosomes());
+    for (size_t c = 0; c < reference.numChromosomes(); ++c)
+        engines.push_back(
+            std::make_unique<SegramMapper>(reference, c, config));
+    return engines;
+}
+
 ShardedBatchMapper::ShardedBatchMapper(
-    const PreprocessedReference &reference, const SegramConfig &config,
+    const PreprocessedReference &reference,
+    std::vector<std::unique_ptr<MappingEngine>> engines,
     const ShardedBatchConfig &batch)
-    : config_(batch),
+    : engines_(std::move(engines)), config_(batch),
       pool_(batch.threads > 0 ? batch.threads
                               : util::ThreadPool::defaultThreads()),
       workspaces_(static_cast<size_t>(pool_.size()))
@@ -18,16 +31,29 @@ ShardedBatchMapper::ShardedBatchMapper(
     SEGRAM_CHECK(batch.chunkSize >= 1, "chunkSize must be >= 1");
     SEGRAM_CHECK(reference.numChromosomes() >= 1,
                  "reference has no chromosomes");
+    SEGRAM_CHECK(engines_.size() == reference.numChromosomes(),
+                 "ShardedBatchMapper needs one engine per chromosome: " +
+                     std::to_string(engines_.size()) + " engines for " +
+                     std::to_string(reference.numChromosomes()) +
+                     " chromosomes");
     names_.reserve(reference.numChromosomes());
-    mappers_.reserve(reference.numChromosomes());
     for (size_t c = 0; c < reference.numChromosomes(); ++c) {
+        SEGRAM_CHECK(engines_[c] != nullptr,
+                     "null engine for chromosome " + reference.name(c));
         names_.push_back(reference.name(c));
-        mappers_.emplace_back(reference, c, config);
     }
     if (batch.memBudgetBytes > 0) {
         residency_ = std::make_unique<ShardResidency>(
             reference, batch.memBudgetBytes);
     }
+}
+
+ShardedBatchMapper::ShardedBatchMapper(
+    const PreprocessedReference &reference, const SegramConfig &config,
+    const ShardedBatchConfig &batch)
+    : ShardedBatchMapper(reference, segramEngines(reference, config),
+                         batch)
+{
 }
 
 std::vector<MultiMapResult>
@@ -38,7 +64,7 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
     if (reads.empty())
         return results;
 
-    const size_t num_shards = mappers_.size();
+    const size_t num_shards = engines_.size();
     const size_t num_chunks =
         (reads.size() + config_.chunkSize - 1) / config_.chunkSize;
 
@@ -72,20 +98,21 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
             const ShardResidency::Lease lease =
                 residency_ != nullptr ? residency_->acquire(shard)
                                       : ShardResidency::Lease();
-            // One lane-batched pass per (chunk, shard) item. The grid
+            // One mapMany per (chunk, shard) item lets the engine batch
+            // window computations across the chunk's reads. The grid
             // partition is fixed by chunkSize, so batch groupings (and
             // the occupancy counters) are thread-count-invariant.
-            mappers_[shard].mapReads(
+            engines_[shard]->mapMany(
                 reads.subspan(begin, end - begin),
                 std::span<MapResult>(partial[shard])
                     .subspan(begin, end - begin),
                 local, workspace);
         });
 
-    // MultiGraphMapper's merge rule, applied per read over ascending
-    // shard order: lowest edit distance wins, ties go to the earlier
-    // chromosome. Order-independent inputs + fixed merge order =
-    // deterministic output.
+    // The cross-chromosome merge, per read over ascending shard order:
+    // lowest edit distance wins, ties go to the earlier chromosome.
+    // Order-independent inputs + fixed merge order = deterministic
+    // output.
     uint64_t mapped = 0;
     for (size_t i = 0; i < reads.size(); ++i) {
         MultiMapResult &best = results[i];
@@ -103,9 +130,9 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
     }
 
     if (stats != nullptr) {
-        // Work counters are commutative sums over the grid — identical
-        // to what the read-major path accumulates. The read-level
-        // counters count logical reads, not (read x shard) passes.
+        // Work counters are commutative sums over the grid. The
+        // read-level counters count logical reads, not (read x shard)
+        // passes.
         // Thread-safety: each worker_stats slot was written by exactly
         // one pool worker, and parallelSteal's completion handshake
         // (pool mutex) happens-before this merge — no atomics needed.

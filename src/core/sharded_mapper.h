@@ -1,24 +1,24 @@
 /**
  * @file
- * ShardedBatchMapper: the (read-chunk x shard) batch driver for
- * multi-chromosome references.
+ * ShardedBatchMapper: the repo's one batch driver, for SeGraM and for
+ * the CPU baselines alike.
  *
- * BatchMapper parallelizes over reads only: each worker maps its reads
- * against *every* chromosome back to back (MultiGraphMapper), so with
- * a handful of workers and a skewed chromosome size distribution the
- * per-read latency is dominated by the largest chromosome and every
- * worker walks the whole reference working set. This driver schedules
- * the full (read-chunk x shard) grid instead, shard-major, through the
- * thread pool's work-stealing mode: workers start on different shards
- * (locality: one shard's tables stay hot in cache while its items
- * drain), skew is absorbed by stealing, and a memory budget can keep
- * only the shards in flight resident (ShardResidency).
+ * The paper builds one graph per chromosome and spreads the
+ * chromosomes over HBM channels, each channel's MinSeed+BitAlign pair
+ * sharing only read-only tables. This driver is that schedule in
+ * software: one MappingEngine per chromosome (shard), and the full
+ * (read-chunk x shard) grid run shard-major through the thread pool's
+ * work-stealing mode. Workers start on different shards (locality:
+ * one shard's tables stay hot in cache while its items drain), skew
+ * is absorbed by stealing, and a memory budget can keep only the
+ * shards in flight resident (ShardResidency).
  *
- * Output is bit-identical to BatchMapper over MultiGraphMapper for
- * every thread count: per-(read, shard) results are pure functions of
- * their inputs, and the merge — lowest edit distance wins, ties to the
- * earlier chromosome — is exactly MultiGraphMapper's rule, applied
- * over a deterministic shard order after the grid completes.
+ * Output is bit-identical for every thread count: per-(read, shard)
+ * results are pure functions of their inputs, the grid partition is
+ * fixed by chunkSize, and the merge — lowest edit distance wins, ties
+ * to the earlier chromosome — runs over a deterministic shard order
+ * after the grid completes. That merge is the only place in the repo
+ * where results of different chromosomes meet.
  */
 
 #ifndef SEGRAM_SRC_CORE_SHARDED_MAPPER_H
@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/core/workspace.h"
@@ -42,10 +43,18 @@ namespace segram::core
 /** ShardedBatchMapper knobs. */
 struct ShardedBatchConfig
 {
-    /** Worker threads; <= 0 picks the host's hardware concurrency. */
+    /**
+     * Worker threads; <= 0 picks the host's hardware concurrency.
+     * One worker models one HBM channel's MinSeed+BitAlign pair.
+     */
     int threads = 1;
 
-    /** Reads per work item (one item = one chunk against one shard). */
+    /**
+     * Reads per work item (one item = one chunk against one shard).
+     * Small enough to balance skewed per-read cost (a repeat-heavy
+     * read can be 100x the median), large enough to amortize the
+     * claim and to fill the engines' cross-read batches.
+     */
     size_t chunkSize = 8;
 
     /**
@@ -58,22 +67,45 @@ struct ShardedBatchConfig
 };
 
 /**
- * Work-stealing (read-chunk x shard) batch driver over the SeGraM
- * pipeline. One instance owns one thread pool and per-worker
- * workspaces; mapBatch calls must be serialized by the caller, and
- * the reference must outlive the mapper.
+ * The SeGraM engine list: one SegramMapper per chromosome of
+ * @p reference, in reference order. @p reference must outlive the
+ * engines.
+ */
+std::vector<std::unique_ptr<MappingEngine>>
+segramEngines(const PreprocessedReference &reference,
+              const SegramConfig &config = {});
+
+/**
+ * Work-stealing (read-chunk x shard) batch driver over one
+ * MappingEngine per chromosome. One instance owns one thread pool and
+ * per-worker workspaces; mapBatch calls must be serialized by the
+ * caller, and the reference must outlive the mapper.
  */
 class ShardedBatchMapper
 {
   public:
+    /**
+     * @param reference Names the shards (and backs the residency
+     *                  control under a memory budget).
+     * @param engines   One engine per chromosome of @p reference, in
+     *                  reference order; each must honour the
+     *                  MappingEngine thread-safety contract.
+     * @throws InputError on a wrong engine count or a null engine.
+     */
+    ShardedBatchMapper(const PreprocessedReference &reference,
+                       std::vector<std::unique_ptr<MappingEngine>> engines,
+                       const ShardedBatchConfig &batch = {});
+
+    /** The SeGraM pipeline: one SegramMapper per chromosome. */
     ShardedBatchMapper(const PreprocessedReference &reference,
                        const SegramConfig &config = {},
                        const ShardedBatchConfig &batch = {});
 
     /**
      * Maps reads[i] -> result[i] across the (chunk x shard) grid.
-     * Results and @p stats totals are bit-identical to
-     * BatchMapper(MultiGraphMapper) for every thread count.
+     * Results and @p stats totals are bit-identical for every thread
+     * count; the read-level counters count logical reads, not
+     * (read x shard) passes.
      */
     std::vector<MultiMapResult>
     mapBatch(std::span<const std::string_view> reads,
@@ -85,25 +117,30 @@ class ShardedBatchMapper
              PipelineStats *stats = nullptr) const;
 
     int threads() const { return pool_.size(); }
-    size_t numShards() const { return mappers_.size(); }
-    std::string_view engineName() const { return "segram-sharded"; }
+    size_t numShards() const { return engines_.size(); }
+    /** The per-shard engines' name ("segram", "vg-like", ...). */
+    std::string_view engineName() const
+    {
+        return engines_.front()->engineName();
+    }
 
     /** All-zeros when no memory budget is active. */
     ShardResidency::Stats residencyStats() const;
 
   private:
     std::vector<std::string> names_;
-    std::vector<SegramMapper> mappers_;
+    std::vector<std::unique_ptr<MappingEngine>> engines_;
     ShardedBatchConfig config_;
     /** Internally synchronized (ThreadPool's job state carries the
      *  clang thread-safety annotations); mapBatch is logically const
      *  but calls must be serialized by the caller — the pool runs one
      *  job at a time and the workspaces below are reused across calls. */
     mutable util::ThreadPool pool_;
-    /** One private workspace per pool worker (see BatchMapper). Not
-     *  guarded by a mutex: workspaces_[w] is touched only by pool
-     *  worker w, and the pool's job handshake orders those accesses
-     *  against the caller between batches. */
+    /** One private workspace per pool worker — the software image of
+     *  each HBM channel module's private scratchpad. Not guarded by a
+     *  mutex: workspaces_[w] is touched only by pool worker w, and the
+     *  pool's job handshake orders those accesses against the caller
+     *  between batches. */
     mutable std::vector<MapWorkspace> workspaces_;
     /** LRU residency control; null when memBudgetBytes == 0. */
     mutable std::unique_ptr<ShardResidency> residency_;

@@ -11,12 +11,12 @@
  * CIGAR/traceback scratch — so a warm worker maps read after read
  * without touching the heap.
  *
- * Ownership model: BatchMapper owns one workspace per pool thread and
- * lends it to the engine via MappingEngine::mapOne(read, stats, ws);
- * standalone callers can hold their own. A workspace must never be
- * shared between concurrent calls (it is the thread's scratchpad, not
- * shared state), and it pins no results — everything returned to the
- * caller is copied out of it.
+ * Ownership model: ShardedBatchMapper owns one workspace per pool
+ * thread and lends it to the engines via MappingEngine::mapMany(reads,
+ * results, stats, ws); standalone callers can hold their own. A
+ * workspace must never be shared between concurrent calls (it is the
+ * thread's scratchpad, not shared state), and it pins no results —
+ * everything returned to the caller is copied out of it.
  */
 
 #ifndef SEGRAM_SRC_CORE_WORKSPACE_H
@@ -69,7 +69,7 @@ struct StrandTask
 
     // --- scheduler state (reset per activation) ---
     std::string_view read;    ///< forward view or rc
-    size_t readIndex = 0;     ///< index into the mapReads batch
+    size_t readIndex = 0;     ///< index into the mapMany batch
     int strand = 0;           ///< 0 = forward, 1 = reverse complement
     size_t started = 0;       ///< regions whose stream has been issued
     size_t committed = 0;     ///< regions folded into best (in order)
@@ -119,7 +119,7 @@ struct MapWorkspace
     align::AlignScratch align;            ///< bitvector slab + PM masks
     align::GraphAlignment alignment;      ///< per-region result (reused)
 
-    // --- lane-batched scheduling (SegramMapper::mapReads) ---
+    // --- lane-batched scheduling (SegramMapper::mapMany) ---
     align::WindowBatchScratch batch;  ///< lane-major bitvector streams
     std::vector<StrandTask> tasks;    ///< strand-task pool
     std::vector<int> activeTasks;     ///< pool indices, activation order
@@ -128,8 +128,6 @@ struct MapWorkspace
      *  holds a finished strand result until its sibling arrives. */
     std::vector<MapResult> pendingStrand;
     std::vector<uint8_t> pendingStrandDone; ///< staging validity flags
-    /** MapResult staging for the mapMany -> mapReads adapters. */
-    std::vector<MapResult> batchResults;
 };
 
 } // namespace segram::core

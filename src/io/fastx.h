@@ -2,7 +2,8 @@
  * @file
  * Streaming FASTA/FASTQ ingestion behind one iterator.
  *
- * The batch pipeline (tools/segram_cli.cc, core::BatchMapper) must not
+ * The batch pipeline (tools/segram_cli.cc, core::ShardedBatchMapper)
+ * must not
  * hold a whole read set in memory the way readFastaFile/readFastqFile
  * do — a real sequencing run is tens of gigabytes. FastxReader yields
  * records incrementally from either format (sniffed from the first

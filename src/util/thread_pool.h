@@ -74,7 +74,7 @@ class ThreadPool
      * Chunk-to-worker assignment is nondeterministic under contention;
      * callers that need deterministic output must write results by
      * item index and keep per-worker accumulators whose merge is
-     * order-independent (see core::BatchMapper).
+     * order-independent (see core::ShardedBatchMapper).
      */
     void parallelFor(size_t num_items, size_t chunk_size,
                      const ChunkFn &fn);

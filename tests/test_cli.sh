@@ -2,8 +2,8 @@
 # CLI integration test: simulate a dataset, then
 #  1. map the same reads as FASTA (1 thread) and FASTQ (2 threads) and
 #     require byte-identical PAF output — wiring the FASTQ ingestion
-#     path and the BatchMapper determinism contract through the real
-#     binary;
+#     path and the batch driver's determinism contract through the
+#     real binary;
 #  2. compare the PAF at 1/2/4/8 threads against the committed golden
 #     output (tests/golden/map_smoke.paf, captured before the
 #     zero-allocation workspace refactor) — any drift in mapping
@@ -12,7 +12,9 @@
 #     from the pack produces byte-identical PAF to mapping from
 #     FASTA+VCF — the pack round-trip contract, end to end — and that
 #     a 3-chromosome pack is byte-identical at `index --threads`
-#     1/2/4, from FASTA+VCF and from GFA (the parallel build);
+#     1/2/4, from FASTA+VCF and from GFA (the parallel build), and
+#     that both baseline engines map it to byte-identical PAF at
+#     --threads 1/2/4;
 #  4. reject malformed numeric flags with clean errors (no silent
 #     acceptance, no crashes), including the pipeline knobs
 #     (--max-regions/--early-exit/--chain-filter/--max-chains/
@@ -255,6 +257,27 @@ grep -q "on 3 workers" "$tmp/mindex4.log" || {
     exit 1
 }
 echo "cli parallel index OK (identical packs at 1/2/4 threads)"
+
+# --- baselines on the one driver: multi-chromosome, every thread count ---
+# The baselines shard per chromosome on the same (read-chunk x shard)
+# driver as SeGraM; their PAF must be byte-identical at every count.
+for engine in graphaligner vg; do
+    for threads in 1 2 4; do
+        "$bin" map --engine "$engine" --threads "$threads" \
+            "$tmp/m1.segram" "$tmp/m.reads.fa" \
+            > "$tmp/m_$engine$threads.paf" 2> /dev/null
+        cmp "$tmp/m_${engine}1.paf" "$tmp/m_$engine$threads.paf" || {
+            echo "FAIL: --engine $engine multi-chromosome PAF differs" \
+                 "at $threads thread(s)"
+            exit 1
+        }
+    done
+    test -s "$tmp/m_${engine}1.paf" || {
+        echo "FAIL: --engine $engine mapped nothing on 3 chromosomes"
+        exit 1
+    }
+done
+echo "cli multi-chromosome baselines OK (identical PAF at 1/2/4 threads)"
 
 # --- GFA route: construct -> map-from-gfa, byte-identical PAF ---
 "$bin" construct "$tmp/d.fa" "$tmp/d.vcf" "$tmp/d.gfa" 2> "$tmp/gfa.log"

@@ -220,51 +220,6 @@ TEST(SegramMapper, ChainFilterKeepsAccuracyWithFewerRegions)
     }
 }
 
-TEST(MultiGraphMapper, PicksTheRightChromosome)
-{
-    const auto chr1 = sim::makeDataset(smallConfig(76));
-    const auto chr2 = sim::makeDataset(smallConfig(77));
-    SegramConfig config;
-    config.earlyExitFraction = 1.0;
-    const MultiGraphMapper mapper(
-        {{"chr1", &chr1.graph, &chr1.index},
-         {"chr2", &chr2.graph, &chr2.index}},
-        config);
-    EXPECT_EQ(mapper.numChromosomes(), 2u);
-
-    Rng rng(78);
-    for (int trial = 0; trial < 4; ++trial) {
-        const uint64_t s1 =
-            rng.nextBelow(chr1.donor.seq().size() - 400);
-        const auto on1 =
-            mapper.mapRead(chr1.donor.seq().substr(s1, 300));
-        ASSERT_TRUE(on1.mapped);
-        EXPECT_EQ(on1.chromosome, "chr1");
-        EXPECT_EQ(on1.editDistance, 0);
-
-        const uint64_t s2 =
-            rng.nextBelow(chr2.donor.seq().size() - 400);
-        PipelineStats stats;
-        const auto on2 =
-            mapper.mapRead(chr2.donor.seq().substr(s2, 300), &stats);
-        ASSERT_TRUE(on2.mapped);
-        EXPECT_EQ(on2.chromosome, "chr2");
-        EXPECT_EQ(stats.readsTotal, 1u);
-        EXPECT_EQ(stats.readsMapped, 1u);
-    }
-}
-
-TEST(MultiGraphMapper, RejectsBadConstruction)
-{
-    EXPECT_THROW(MultiGraphMapper(std::vector<ChromosomeRef>{}),
-                 InputError);
-    const auto dataset = sim::makeDataset(smallConfig(79));
-    EXPECT_THROW(MultiGraphMapper({{"x", nullptr, &dataset.index}}),
-                 InputError);
-    EXPECT_THROW(MultiGraphMapper({{"x", &dataset.graph, nullptr}}),
-                 InputError);
-}
-
 TEST(SegramMapper, RequiresSortedGraph)
 {
     graph::GraphBuilder builder;

@@ -1,22 +1,21 @@
 /**
  * @file
- * Tests for the batched mapping engine layer: the ThreadPool
- * primitive, the MappingEngine contract across every backend, and the
- * BatchMapper determinism guarantee (bit-identical results and
- * correctly merged PipelineStats for every thread count).
+ * Tests for the mapping engine layer below the batch driver: the
+ * ThreadPool primitive, MapWorkspace reuse, and SegramMapper's
+ * lane-batched mapMany scheduler against the per-read mapRead oracle.
+ * The driver itself (ShardedBatchMapper over every engine) is tested
+ * in test_driver.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/baseline/mappers.h"
 #include "src/core/engine.h"
 #include "src/core/segram.h"
 #include "src/sim/dataset.h"
@@ -198,7 +197,7 @@ TEST(MapWorkspace, WarmWorkspaceMatchesFreshCalls)
     // One workspace reused across a mixed workload (forward, RC and
     // junk reads) must produce exactly what per-call workspaces
     // produce — counters included. This is the reuse contract every
-    // BatchMapper worker relies on.
+    // ShardedBatchMapper worker relies on.
     const auto dataset = sim::makeDataset(smallConfig(301));
     SegramConfig config;
     config.tryReverseComplement = true;
@@ -265,209 +264,6 @@ TEST(MapWorkspace, StageTimingsAccumulateWhenStatsRequested)
     EXPECT_GT(stats.timings.linearizeSec, 0.0);
 }
 
-// ----------------------------------------------------------- BatchMapper
-
-TEST(BatchMapper, FourThreadsMatchOneThreadExactly)
-{
-    const auto dataset = sim::makeDataset(smallConfig(101));
-    SegramConfig config;
-    config.tryReverseComplement = true;
-    const SegramMapper mapper(dataset.graph, dataset.index, config);
-    const auto reads = makeReads(dataset, 30, 102);
-    const auto views = viewsOf(reads);
-
-    PipelineStats stats1;
-    const BatchMapper one(mapper, {.threads = 1, .chunkSize = 4});
-    const auto results1 = one.mapBatch(
-        std::span<const std::string_view>(views), &stats1);
-
-    PipelineStats stats4;
-    const BatchMapper four(mapper, {.threads = 4, .chunkSize = 3});
-    const auto results4 = four.mapBatch(
-        std::span<const std::string_view>(views), &stats4);
-
-    expectSameResults(results1, results4);
-    expectSameStats(stats1, stats4);
-    EXPECT_EQ(stats4.readsTotal, reads.size());
-
-    // Both match the engine's own sequential mapBatch and a bare
-    // mapRead loop.
-    PipelineStats stats_seq;
-    const auto sequential = mapper.mapBatch(
-        std::span<const std::string_view>(views), &stats_seq);
-    expectSameResults(results4, sequential);
-    expectSameStats(stats4, stats_seq);
-
-    PipelineStats stats_loop;
-    for (size_t i = 0; i < reads.size(); ++i) {
-        const auto result = mapper.mapRead(reads[i], &stats_loop);
-        EXPECT_EQ(result.mapped, results4[i].mapped);
-        EXPECT_EQ(result.linearStart, results4[i].linearStart);
-    }
-    expectSameStats(stats4, stats_loop);
-}
-
-TEST(BatchMapper, OwnedStringOverloadAndEmptyBatch)
-{
-    const auto dataset = sim::makeDataset(smallConfig(103));
-    const SegramMapper mapper(dataset.graph, dataset.index);
-    const BatchMapper batch(mapper, {.threads = 2});
-    EXPECT_EQ(batch.threads(), 2);
-
-    const auto reads = makeReads(dataset, 8, 104);
-    const auto via_strings =
-        batch.mapBatch(std::span<const std::string>(reads));
-    const auto views = viewsOf(reads);
-    const auto via_views =
-        batch.mapBatch(std::span<const std::string_view>(views));
-    expectSameResults(via_strings, via_views);
-
-    const auto empty =
-        batch.mapBatch(std::span<const std::string>{});
-    EXPECT_TRUE(empty.empty());
-}
-
-TEST(BatchMapper, PropagatesMapperErrors)
-{
-    const auto dataset = sim::makeDataset(smallConfig(105));
-    const SegramMapper mapper(dataset.graph, dataset.index);
-    const std::vector<std::string> reads = {"ACGTACGTACGT", ""};
-    const BatchMapper batch(mapper, {.threads = 2});
-    EXPECT_THROW(batch.mapBatch(std::span<const std::string>(reads)),
-                 InputError);
-}
-
-TEST(BatchMapper, MultiGraphStatsFoldReadExactUnderBatching)
-{
-    const auto chr1 = sim::makeDataset(smallConfig(106));
-    const auto chr2 = sim::makeDataset(smallConfig(107));
-    SegramConfig config;
-    config.earlyExitFraction = 1.0;
-    const MultiGraphMapper mapper(
-        {{"chr1", &chr1.graph, &chr1.index},
-         {"chr2", &chr2.graph, &chr2.index}},
-        config);
-
-    // Half the reads from each chromosome's donor.
-    std::vector<std::string> reads;
-    Rng rng(108);
-    for (int i = 0; i < 10; ++i) {
-        const auto &donor = (i % 2 == 0 ? chr1 : chr2).donor;
-        const uint64_t start = rng.nextBelow(donor.seq().size() - 400);
-        reads.push_back(donor.seq().substr(start, 300));
-    }
-    const auto views = viewsOf(reads);
-
-    PipelineStats stats1;
-    const BatchMapper one(mapper, {.threads = 1});
-    const auto results1 = one.mapBatch(
-        std::span<const std::string_view>(views), &stats1);
-    PipelineStats stats4;
-    const BatchMapper four(mapper, {.threads = 4, .chunkSize = 2});
-    const auto results4 = four.mapBatch(
-        std::span<const std::string_view>(views), &stats4);
-
-    expectSameResults(results1, results4);
-    expectSameStats(stats1, stats4);
-    // The per-chromosome fold stays read-exact: one readsTotal per
-    // logical read, even though each read ran on every chromosome.
-    EXPECT_EQ(stats4.readsTotal, reads.size());
-    EXPECT_EQ(stats4.readsMapped, reads.size());
-    for (size_t i = 0; i < reads.size(); ++i) {
-        EXPECT_TRUE(results4[i].mapped) << "read " << i;
-        EXPECT_EQ(results4[i].chromosome, i % 2 == 0 ? "chr1" : "chr2")
-            << "read " << i;
-    }
-}
-
-TEST(MultiChromosomeEngine, LiftsBaselinesToMultiChromosome)
-{
-    // The generic per-chromosome wrapper must route each read to the
-    // chromosome it came from (best edit distance wins) and fold the
-    // read-level stats exactly like MultiGraphMapper does.
-    const auto chr1 = sim::makeDataset(smallConfig(110));
-    const auto chr2 = sim::makeDataset(smallConfig(111));
-    std::vector<MultiChromosomeEngine::Entry> entries;
-    entries.push_back(
-        {"chr1", std::make_unique<baseline::GraphAlignerLike>(
-                     chr1.graph, chr1.index)});
-    entries.push_back(
-        {"chr2", std::make_unique<baseline::GraphAlignerLike>(
-                     chr2.graph, chr2.index)});
-    const MultiChromosomeEngine engine(std::move(entries),
-                                       "graphaligner-like");
-    EXPECT_EQ(engine.engineName(), "graphaligner-like");
-    EXPECT_EQ(engine.numChromosomes(), 2u);
-
-    Rng rng(112);
-    PipelineStats stats;
-    int mapped = 0;
-    for (int i = 0; i < 10; ++i) {
-        const auto &donor = (i % 2 == 0 ? chr1 : chr2).donor;
-        const uint64_t start = rng.nextBelow(donor.seq().size() - 400);
-        const auto result =
-            engine.mapOne(donor.seq().substr(start, 300), &stats);
-        if (!result.mapped)
-            continue;
-        ++mapped;
-        EXPECT_EQ(result.chromosome, i % 2 == 0 ? "chr1" : "chr2")
-            << "read " << i;
-    }
-    EXPECT_GE(mapped, 8); // error-free reads, near-perfect mapping
-    EXPECT_EQ(stats.readsTotal, 10u); // one per logical read
-    EXPECT_EQ(stats.readsMapped, static_cast<uint64_t>(mapped));
-}
-
-TEST(MultiChromosomeEngine, RejectsEmptyAndNullEntries)
-{
-    EXPECT_THROW(MultiChromosomeEngine({}, "x"), InputError);
-    std::vector<MultiChromosomeEngine::Entry> entries;
-    entries.push_back({"chr1", nullptr});
-    EXPECT_THROW(MultiChromosomeEngine(std::move(entries), "x"),
-                 InputError);
-}
-
-// ------------------------------------------- MappingEngine polymorphism
-
-TEST(MappingEngine, AllBackendsDriveThroughTheInterface)
-{
-    const auto dataset = sim::makeDataset(smallConfig(109));
-    const SegramMapper segram_mapper(dataset.graph, dataset.index);
-    const MultiGraphMapper multi_mapper(
-        {{"chr1", &dataset.graph, &dataset.index}});
-    const baseline::GraphAlignerLike ga_mapper(dataset.graph,
-                                               dataset.index);
-    const baseline::VgLike vg_mapper(dataset.graph, dataset.index);
-
-    const std::string read = dataset.donor.seq().substr(2'000, 300);
-    const std::vector<const MappingEngine *> engines = {
-        &segram_mapper, &multi_mapper, &ga_mapper, &vg_mapper};
-    for (const MappingEngine *engine : engines) {
-        PipelineStats stats;
-        const auto result = engine->mapOne(read, &stats);
-        EXPECT_TRUE(result.mapped) << engine->engineName();
-        EXPECT_EQ(stats.readsTotal, 1u) << engine->engineName();
-        EXPECT_EQ(stats.readsMapped, 1u) << engine->engineName();
-        EXPECT_FALSE(engine->engineName().empty());
-
-        // Every backend also batches deterministically.
-        const std::vector<std::string> reads = {read, read, read};
-        const BatchMapper batch(*engine, {.threads = 3, .chunkSize = 1});
-        const auto results =
-            batch.mapBatch(std::span<const std::string>(reads));
-        ASSERT_EQ(results.size(), 3u);
-        for (const auto &batched : results) {
-            EXPECT_EQ(batched.mapped, result.mapped);
-            EXPECT_EQ(batched.linearStart, result.linearStart);
-            EXPECT_EQ(batched.editDistance, result.editDistance);
-        }
-    }
-    EXPECT_EQ(segram_mapper.engineName(), "segram");
-    EXPECT_EQ(multi_mapper.engineName(), "segram-multigraph");
-    EXPECT_EQ(ga_mapper.engineName(), "graphaligner-like");
-    EXPECT_EQ(vg_mapper.engineName(), "vg-like");
-}
-
 // ------------------------------------------------- regionsTried repair
 
 TEST(SegramMapper, RegionsTriedCountsBothStrands)
@@ -530,7 +326,7 @@ TEST(SegramMapper, MapReadsSchedulerMatchesMapReadLoop)
             const auto views = viewsOf(reads);
             std::vector<MapResult> batched(count);
             PipelineStats batched_stats;
-            mapper.mapReads(std::span<const std::string_view>(views),
+            mapper.mapMany(std::span<const std::string_view>(views),
                             batched, &batched_stats, workspace);
 
             PipelineStats loop_stats;
@@ -560,7 +356,7 @@ TEST(SegramMapper, MapReadsSchedulerMatchesMapReadLoop)
     }
 }
 
-TEST(SegramMapper, MapReadsHandlesEmptyBatchAndReusedWorkspace)
+TEST(SegramMapper, MapManyHandlesEmptyBatchAndReusedWorkspace)
 {
     const auto dataset = sim::makeDataset(smallConfig(122));
     SegramConfig config;
@@ -569,7 +365,7 @@ TEST(SegramMapper, MapReadsHandlesEmptyBatchAndReusedWorkspace)
     MapWorkspace workspace;
 
     PipelineStats stats;
-    mapper.mapReads({}, {}, &stats, workspace);
+    mapper.mapMany({}, {}, &stats, workspace);
     EXPECT_EQ(stats.readsTotal, 0u);
 
     // Back-to-back batches through one workspace: the second batch
@@ -578,9 +374,9 @@ TEST(SegramMapper, MapReadsHandlesEmptyBatchAndReusedWorkspace)
     const auto views = viewsOf(reads);
     std::vector<MapResult> first(reads.size());
     std::vector<MapResult> second(reads.size());
-    mapper.mapReads(std::span<const std::string_view>(views), first,
+    mapper.mapMany(std::span<const std::string_view>(views), first,
                     nullptr, workspace);
-    mapper.mapReads(std::span<const std::string_view>(views), second,
+    mapper.mapMany(std::span<const std::string_view>(views), second,
                     nullptr, workspace);
     for (size_t i = 0; i < reads.size(); ++i) {
         EXPECT_EQ(first[i].mapped, second[i].mapped) << "read " << i;

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/graph/genome_graph.h"
 #include "src/graph/gfa_import.h"
 #include "src/graph/graph_builder.h"
@@ -184,17 +184,23 @@ TEST(ImportGfa, ImportedReferenceMapsIdenticallyToBuilt)
 
         core::SegramConfig segram_config;
         segram_config.tryReverseComplement = true;
-        const core::MultiGraphMapper expect(reference, segram_config);
-        const core::MultiGraphMapper got(from_gfa, segram_config);
+        const core::ShardedBatchMapper expect(reference, segram_config);
+        const core::ShardedBatchMapper got(from_gfa, segram_config);
 
         Rng rng(4242);
+        std::vector<std::string> reads;
         for (int trial = 0; trial < 40; ++trial) {
             const uint64_t start =
                 rng.nextBelow(dataset.donor.seq().size() - 200);
-            const std::string read =
-                dataset.donor.seq().substr(start, 150);
-            const auto a = expect.mapOne(read);
-            const auto b = got.mapOne(read);
+            reads.push_back(dataset.donor.seq().substr(start, 150));
+        }
+        const auto expected =
+            expect.mapBatch(std::span<const std::string>(reads));
+        const auto results =
+            got.mapBatch(std::span<const std::string>(reads));
+        for (size_t i = 0; i < reads.size(); ++i) {
+            const auto &a = expected[i];
+            const auto &b = results[i];
             EXPECT_EQ(a.mapped, b.mapped);
             EXPECT_EQ(a.linearStart, b.linearStart);
             EXPECT_EQ(a.editDistance, b.editDistance);

@@ -18,9 +18,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/eval/accuracy.h"
 #include "src/io/pack.h"
 #include "src/io/paf.h"
@@ -184,19 +184,17 @@ TEST_F(PackTest, MappingOutputBitIdenticalFreshVsLoaded)
 
     core::SegramConfig config;
     config.tryReverseComplement = true;
-    const core::MultiGraphMapper fresh_mapper(fresh, config);
-    const core::MultiGraphMapper loaded_mapper(loaded, config);
 
     for (const int threads : {1, 3}) {
-        core::BatchConfig batch;
+        core::ShardedBatchConfig batch;
         batch.threads = threads;
         core::PipelineStats fresh_stats, loaded_stats;
         const auto fresh_results =
-            core::BatchMapper(fresh_mapper, batch)
+            core::ShardedBatchMapper(fresh, config, batch)
                 .mapBatch(std::span<const std::string_view>(views),
                           &fresh_stats);
         const auto loaded_results =
-            core::BatchMapper(loaded_mapper, batch)
+            core::ShardedBatchMapper(loaded, config, batch)
                 .mapBatch(std::span<const std::string_view>(views),
                           &loaded_stats);
         ASSERT_EQ(fresh_results.size(), loaded_results.size());
@@ -256,10 +254,15 @@ TEST_F(PackTest, FreshAndPackLoadedReferenceScoreIdenticalAccuracy)
     config.tryReverseComplement = true;
     const auto score = [&](const core::PreprocessedReference &ref,
                            const char *mapper_name) {
-        const core::MultiGraphMapper mapper(ref, config);
+        const core::ShardedBatchMapper mapper(ref, config);
+        std::vector<std::string_view> views;
+        for (const auto &read : reads)
+            views.push_back(read.seq);
+        const auto results =
+            mapper.mapBatch(std::span<const std::string_view>(views));
         std::vector<io::PafRecord> mapped;
         for (size_t i = 0; i < reads.size(); ++i) {
-            const auto result = mapper.mapRead(reads[i].seq);
+            const auto &result = results[i];
             if (!result.mapped)
                 continue;
             mapped.push_back(io::makePafRecord(

@@ -37,17 +37,17 @@
  *       building it from FASTA+VCF, by importing a GFA graph, or by
  *       memory-mapping a `.segram` pack (all detected by content) —
  *       then stream the reads (FASTA or FASTQ) in batches through the
- *       multi-threaded BatchMapper (trying both strands) and print
- *       PAF to stdout. The stderr report splits pre-processing time
- *       from mapping time, so the build-once/map-forever win of packs
- *       is visible. E is the expected per-base error rate (default
- *       0.10). --engine swaps the SeGraM pipeline for one of the CPU
+ *       multi-threaded ShardedBatchMapper (trying both strands) and
+ *       print PAF to stdout. The stderr report splits pre-processing
+ *       time from mapping time, so the build-once/map-forever win of
+ *       packs is visible. E is the expected per-base error rate
+ *       (default 0.10). --engine swaps the SeGraM pipeline for one of the CPU
  *       baseline mappers (Section 10), so all three can be compared
  *       with `segram eval`. --path-coords reports PAF target
  *       coordinates projected onto the reference path (chromosome
  *       coordinates) instead of the graph's concatenated offsets.
- *       The segram engine runs the work-stealing (read-chunk x shard)
- *       scheduler; --max-occ caps the per-minimizer occurrence list
+ *       Every engine runs on the work-stealing (read-chunk x shard)
+ *       scheduler. --max-occ caps the per-minimizer occurrence list
  *       at query time (deterministic stratified subsampling) and
  *       --mem-budget M keeps at most ~M MiB of pack shards resident
  *       (LRU + madvise), both human-scale-reference knobs.
@@ -398,42 +398,39 @@ makeSegramConfig(const MapOptions &options)
 }
 
 /**
- * Builds one of the CPU baseline mappers ("graphaligner", "vg") over a
- * pre-processed reference, lifted to multi-chromosome references via
- * MultiChromosomeEngine, so the accuracy harness can compare them with
- * the SeGraM pipeline on identical inputs. (The segram engine itself
- * does not come through here: cmdMap drives it with the work-stealing
- * ShardedBatchMapper, which is not a per-read MappingEngine.)
+ * Builds the map command's per-chromosome engines, in reference order:
+ * the SeGraM pipeline, or one of the CPU baseline mappers
+ * ("graphaligner", "vg") wrapped in a reverse-complement retry, so the
+ * accuracy harness can compare them with SeGraM on identical inputs.
  */
-std::unique_ptr<core::MappingEngine>
+std::vector<std::unique_ptr<core::MappingEngine>>
 makeEngine(const core::PreprocessedReference &reference,
            const MapOptions &options)
 {
     const std::string &engine_name = options.engine;
-    const double error_rate = options.errorRate;
-    SEGRAM_CHECK(engine_name == "graphaligner" || engine_name == "vg",
+    SEGRAM_CHECK(engine_name == "segram" || engine_name == "graphaligner" ||
+                     engine_name == "vg",
                  "--engine must be segram, graphaligner or vg, got '" +
                      engine_name + "'");
+    if (engine_name == "segram")
+        return core::segramEngines(reference, makeSegramConfig(options));
     baseline::BaselineConfig config;
-    config.errorRate = error_rate;
-    std::vector<core::MultiChromosomeEngine::Entry> entries;
-    for (const auto &chromosome : reference.chromosomes()) {
+    config.errorRate = options.errorRate;
+    std::vector<std::unique_ptr<core::MappingEngine>> engines;
+    for (size_t c = 0; c < reference.numChromosomes(); ++c) {
         std::unique_ptr<core::MappingEngine> engine;
         if (engine_name == "graphaligner")
             engine = std::make_unique<baseline::GraphAlignerLike>(
-                chromosome.graph, chromosome.index, config);
+                reference.graph(c), reference.index(c), config);
         else
             engine = std::make_unique<baseline::VgLike>(
-                chromosome.graph, chromosome.index, config);
-        entries.push_back({chromosome.name, std::move(engine)});
+                reference.graph(c), reference.index(c), config);
+        // Real GraphAligner/vg map both strands; the RC retry keeps
+        // the accuracy comparison honest on two-strand read sets.
+        engines.push_back(
+            std::make_unique<core::RcRetryEngine>(std::move(engine)));
     }
-    // Real GraphAligner/vg map both strands; the RC retry keeps the
-    // accuracy comparison honest on two-strand read sets.
-    return std::make_unique<core::RcRetryEngine>(
-        std::make_unique<core::MultiChromosomeEngine>(
-            std::move(entries), engine_name == "graphaligner"
-                                    ? "graphaligner-like"
-                                    : "vg-like"));
+    return engines;
 }
 
 int
@@ -476,32 +473,15 @@ cmdMap(const MapOptions &options)
                                         : chromosome.graph.totalSeqLen(),
                                     &chromosome.graph};
     }
-    // The segram engine maps through the work-stealing (read-chunk x
-    // shard) driver — bit-identical output to the read-major path, but
-    // shard-skew tolerant and memory-budget capable. The baselines map
-    // per read through BatchMapper as before.
-    std::unique_ptr<core::ShardedBatchMapper> sharded;
-    std::unique_ptr<core::MappingEngine> engine;
-    std::unique_ptr<core::BatchMapper> batch_mapper;
-    if (options.engine == "segram") {
-        core::ShardedBatchConfig sharded_config;
-        sharded_config.threads = options.threads;
-        sharded_config.memBudgetBytes =
-            options.memBudgetMb * 1024 * 1024;
-        sharded = std::make_unique<core::ShardedBatchMapper>(
-            reference, makeSegramConfig(options), sharded_config);
-    } else {
-        engine = makeEngine(reference, options);
-        core::BatchConfig batch_config;
-        batch_config.threads = options.threads;
-        batch_mapper =
-            std::make_unique<core::BatchMapper>(*engine, batch_config);
-    }
-    const std::string_view engine_name = sharded != nullptr
-                                             ? sharded->engineName()
-                                             : engine->engineName();
-    const int threads = sharded != nullptr ? sharded->threads()
-                                           : batch_mapper->threads();
+    // Every engine maps through the work-stealing (read-chunk x shard)
+    // driver: shard-skew tolerant and memory-budget capable.
+    core::ShardedBatchConfig batch_config;
+    batch_config.threads = options.threads;
+    batch_config.memBudgetBytes = options.memBudgetMb * 1024 * 1024;
+    const core::ShardedBatchMapper mapper(
+        reference, makeEngine(reference, options), batch_config);
+    const std::string_view engine_name = mapper.engineName();
+    const int threads = mapper.threads();
 
     // Stream reads -> batches -> worker pool -> buffered PAF, never
     // holding more than one batch in memory.
@@ -527,12 +507,8 @@ cmdMap(const MapOptions &options)
         seqs.clear();
         for (const auto &record : batch)
             seqs.push_back(record.seq);
-        const auto results =
-            sharded != nullptr
-                ? sharded->mapBatch(
-                      std::span<const std::string_view>(seqs), &stats)
-                : batch_mapper->mapBatch(
-                      std::span<const std::string_view>(seqs), &stats);
+        const auto results = mapper.mapBatch(
+            std::span<const std::string_view>(seqs), &stats);
         for (size_t i = 0; i < results.size(); ++i) {
             total_bases += batch[i].seq.size();
             const auto &result = results[i];
@@ -607,8 +583,8 @@ cmdMap(const MapOptions &options)
         wall, threads, threads == 1 ? "" : "s",
         static_cast<double>(total_reads) / wall,
         static_cast<double>(total_bases) / wall);
-    if (sharded != nullptr && options.memBudgetMb > 0) {
-        const auto residency = sharded->residencyStats();
+    if (options.memBudgetMb > 0) {
+        const auto residency = mapper.residencyStats();
         std::fprintf(
             stderr,
             "[segram] mem budget %llu MiB: %llu shard acquisitions, "
