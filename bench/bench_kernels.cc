@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the computational kernels: the
- * bitops word primitives (scalar vs the dispatched SIMD backend), the
+ * lane-batched BitAlign column (scalar vs the SIMD backend), the
  * minimizer sketch, index queries, BitAlign window execution (graph
  * and chain), GenASM, Myers, and the DP oracle. These are the
  * building-block costs behind every end-to-end number in the other
@@ -40,10 +40,10 @@ namespace
 using namespace segram;
 
 // ------------------------------------------------- bitops primitives
-// Each primitive is measured per backend over word counts covering the
-// mapping hot path (2 words = 128-bit windows), mid-size patterns
-// (8 words) and the wide GenASM regime (64 words), so the dispatch
-// crossover is visible in one run.
+// The one kernel-table entry the product calls: batchColumn, one whole
+// lane-batched recurrence column (k+1 levels of kBatchLanes windows),
+// measured per backend at the 1- and 2-word widths of the mapping path
+// and at 16 words (1 kbp patterns, the per-level generic branch).
 
 std::vector<uint64_t>
 benchWords(int nwords, uint64_t seed)
@@ -64,47 +64,6 @@ backendOps(int which)
 }
 
 void
-BM_BitopsShiftLeftOneOr(benchmark::State &state)
-{
-    const bitops::KernelOps *ops = backendOps(state.range(0));
-    if (ops == nullptr) {
-        state.SkipWithError("SIMD backend unavailable");
-        return;
-    }
-    const int nwords = static_cast<int>(state.range(1));
-    const auto src = benchWords(nwords, 1);
-    const auto mask = benchWords(nwords, 2);
-    std::vector<uint64_t> dst(static_cast<size_t>(nwords));
-    for (auto _ : state) {
-        ops->shiftLeftOneOr(dst.data(), src.data(), mask.data(), nwords);
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetBytesProcessed(state.iterations() * nwords *
-                            sizeof(uint64_t));
-}
-
-void
-BM_BitopsAndShiftAnd(benchmark::State &state)
-{
-    const bitops::KernelOps *ops = backendOps(state.range(0));
-    if (ops == nullptr) {
-        state.SkipWithError("SIMD backend unavailable");
-        return;
-    }
-    const int nwords = static_cast<int>(state.range(1));
-    const auto src = benchWords(nwords, 3);
-    std::vector<uint64_t> dst = benchWords(nwords, 4);
-    for (auto _ : state) {
-        ops->andShiftAnd(dst.data(), src.data(), nwords);
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetBytesProcessed(state.iterations() * nwords *
-                            sizeof(uint64_t));
-}
-
-void
 BM_BitopsFusedCell(benchmark::State &state)
 {
     const bitops::KernelOps *ops = backendOps(state.range(0));
@@ -113,33 +72,31 @@ BM_BitopsFusedCell(benchmark::State &state)
         return;
     }
     const int nwords = static_cast<int>(state.range(1));
-    const auto ins = benchWords(nwords, 5);
-    const auto ds = benchWords(nwords, 6);
-    const auto match = benchWords(nwords, 7);
-    const auto pm = benchWords(nwords, 8);
-    std::vector<uint64_t> dst(static_cast<size_t>(nwords));
+    constexpr int kLevels = 33; // k = 32, the mapping path's edit cap
+    const int row = nwords * bitops::kBatchLanes;
+    const auto prev = benchWords(kLevels * row, 5);
+    const auto pm = benchWords(row, 6);
+    std::vector<uint64_t> col(static_cast<size_t>(kLevels * row));
     for (auto _ : state) {
-        ops->fusedCell(dst.data(), ins.data(), ds.data(), match.data(),
-                       pm.data(), nwords);
-        benchmark::DoNotOptimize(dst.data());
+        ops->batchColumn(col.data(), prev.data(), pm.data(), nwords,
+                         kLevels);
+        benchmark::DoNotOptimize(col.data());
         benchmark::ClobberMemory();
     }
-    // 4 streams in, 1 out.
-    state.SetBytesProcessed(state.iterations() * nwords * 5 *
-                            sizeof(uint64_t));
+    // One recurrence cell per level and lane.
+    state.SetItemsProcessed(state.iterations() * kLevels *
+                            bitops::kBatchLanes);
 }
 
 void
 bitopsArgs(benchmark::internal::Benchmark *bench)
 {
     for (int backend = 0; backend <= 1; ++backend)
-        for (const int nwords : {2, 8, 64})
+        for (const int nwords : {1, 2, 16})
             bench->Args({backend, nwords});
     bench->ArgNames({"backend", "nwords"}); // backend 0=scalar 1=simd
 }
 
-BENCHMARK(BM_BitopsShiftLeftOneOr)->Apply(bitopsArgs);
-BENCHMARK(BM_BitopsAndShiftAnd)->Apply(bitopsArgs);
 BENCHMARK(BM_BitopsFusedCell)->Apply(bitopsArgs);
 
 void
@@ -242,7 +199,7 @@ BM_BitAlignWindowWithTraceback(benchmark::State &state)
 BENCHMARK(BM_BitAlignWindowWithTraceback)->Arg(128);
 
 /**
- * Shared fixture of the batched-vs-per-window comparison: @p windows
+ * Shared fixture of the four-lane vs one-lane comparison: @p windows
  * independent window requests (distinct genome regions and read
  * chunks) of @p window_len characters, k = window_len/4 — the mapping
  * path's regime (128 -> 2-word vectors, 64 -> 1-word).
@@ -273,6 +230,7 @@ struct WindowBatchFixture
     }
 };
 
+/** One window at a time: alignWindow, the batch kernel at one lane. */
 void
 BM_BitAlignWindowsPerWindow(benchmark::State &state)
 {
@@ -297,7 +255,7 @@ BM_BitAlignWindowsBatched(benchmark::State &state)
     const int windows = static_cast<int>(state.range(0));
     const WindowBatchFixture fixture(windows,
                                      static_cast<int>(state.range(1)));
-    align::WindowBatchScratch scratch;
+    align::AlignScratch scratch;
     std::vector<align::WindowResult> results(
         static_cast<size_t>(windows));
     for (auto _ : state) {

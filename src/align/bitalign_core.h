@@ -29,6 +29,11 @@
  * paper's memory-optimized traceback scheme: k+1 bitvectors per *node*
  * instead of 3(k+1) per *edge*, with intermediate vectors regenerated
  * on demand during the traceback walk.
+ *
+ * The recurrence has one implementation, the lane-batched
+ * alignWindowBatch (window_batch.h): alignWindow and
+ * alignWindowDistanceOnly run their single request through it at one
+ * lane, the way one BitAlign PE array computes every window.
  */
 
 #ifndef SEGRAM_SRC_ALIGN_BITALIGN_CORE_H
@@ -36,10 +41,12 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "src/graph/linearize.h"
+#include "src/util/bitops_simd.h"
 #include "src/util/bitvector.h"
 #include "src/util/cigar.h"
 
@@ -100,19 +107,35 @@ struct WindowResult
 };
 
 /**
- * Reusable scratch storage for the aligners: pattern bitmasks, the flat
- * word slab every status bitvector (R[i][d], the virtual sink vectors,
- * the recurrence temporary) is carved from, and a per-window result.
- * One AlignScratch is the software image of one BitAlign module's
- * on-chip scratchpad: allocate it once per thread, reuse it for every
- * window of every read. All aligner entry points have overloads that
- * borrow one; the scratch-free overloads remain for convenience and
- * allocate a fresh scratch per call.
+ * Reusable scratch storage for the aligners: per-lane pattern
+ * bitmasks, the flat word slab every stream (R columns, pattern masks,
+ * virtual sink vectors) is carved from, the per-lane exception lists
+ * and dense temporaries of the batch kernel's fixup path, and a
+ * per-window result. One AlignScratch is the software image of one
+ * BitAlign module's on-chip scratchpad: allocate it once per thread,
+ * reuse it for every window of every read, one lane or kBatchLanes at
+ * a time. All aligner entry points have overloads that borrow one; the
+ * scratch-free overloads remain for convenience and allocate a fresh
+ * scratch per call.
  */
 struct AlignScratch
 {
-    PatternBitmasks pm;    ///< rebuilt per window, storage reused
+    /**
+     * A position that breaks the fast sweep's single-successor-chain
+     * assumption, patched scalar right after its step.
+     */
+    struct Exception
+    {
+        int t;                            ///< lane-local step index
+        std::span<const uint16_t> succs;  ///< clipped successor deltas
+    };
+
+    /** Per-lane masks, rebuilt per window, storage reused (GenASM
+     *  uses lane 0). */
+    std::array<PatternBitmasks, bitops::kBatchLanes> pm;
     bitops::WordSlab slab; ///< backing store for all status bitvectors
+    std::array<std::vector<Exception>, bitops::kBatchLanes> exceptions;
+    std::vector<uint64_t> fixup; ///< dense columns of the patch path
     WindowResult window;   ///< per-window result (alignWindowed's loop)
 };
 
@@ -134,7 +157,9 @@ WindowResult alignWindow(const graph::LinearizedGraphView &text,
 /**
  * Allocation-free variant: all working storage comes from @p scratch
  * and the result is written into @p out (cleared first), so a warm
- * scratch makes the whole window computation heap-silent.
+ * scratch makes the whole window computation heap-silent. Runs the
+ * request as a one-lane alignWindowBatch (both are defined in
+ * window_batch.cc).
  */
 void alignWindow(const graph::LinearizedGraphView &text,
                  std::string_view pattern, int k, AlignMode mode,

@@ -4,13 +4,11 @@
  * scan over the R bitvectors and the traceback bit-walk (Algorithm 1
  * line 25), written once against a tiny bit-probe accessor.
  *
- * Two storage layouts feed these walks: the per-window path stores
- * R[i][d] as contiguous per-window rows, the lane-batched path stores
- * the same bits lane-major (struct-of-arrays across kBatchLanes
- * windows). Both layouts hold bit-identical values, so sharing the
- * walk — instead of duplicating the 4-way M/S/D/I preference logic —
- * is what makes "batched output == per-window output" a structural
- * property rather than a test-enforced one.
+ * One storage layout feeds these walks: the lane-batched kernel's
+ * lane-major R stream (struct-of-arrays across kBatchLanes windows),
+ * probed one lane at a time through window_batch.cc's accessor. The
+ * accessor keeps the 4-way M/S/D/I preference logic independent of
+ * that layout, and lets a walk read nothing but its own lane's bits.
  *
  * Accessor contract (all probes are of active-low bits; "clear" means
  * the alignment predicate holds):

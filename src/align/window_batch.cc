@@ -15,8 +15,8 @@ constexpr int kLanes = bitops::kBatchLanes;
 
 /**
  * Gathers one lane's column @p t (all k+1 levels) from the lane-major
- * R stream into a dense per-window layout (dense[d*nw + j]), so the
- * fixup path can run the exact per-window kernel sequence on it.
+ * R stream into a dense one-window layout (dense[d*nw + j]), so the
+ * fixup path can run the scalar bitops cell primitives on it.
  */
 void
 gatherColumn(const uint64_t *rstream, size_t t, size_t levels, size_t nw,
@@ -50,13 +50,16 @@ gatherVirtual(const uint64_t *vstream, size_t levels, size_t nw, int lane,
 }
 
 /**
- * Recomputes one lane's column @p t with the per-window op sequence
- * (the same case split and fold order as computeBitvectorsWith), on
- * densely gathered successor columns. Overwrites whatever the fast
- * single-successor sweep left in that lane — the fixup runs before
- * step t+1 reads column t, so downstream state stays exact. The
- * pattern masks come from the lane's pm-stream column (already padded
- * to the batch width when the lane's own pattern is narrower).
+ * Recomputes one lane's column @p t exactly, on densely gathered
+ * successor columns: the first successor (or the virtual sink vectors
+ * of an interior sink) initializes each level with shiftLeftOneOr /
+ * fusedCell, every further successor ANDs in its D & S and M terms.
+ * Overwrites whatever the fast single-successor sweep left in that
+ * lane — the fixup runs before step t+1 reads column t, so downstream
+ * state stays exact. The pattern masks come from the lane's pm-stream
+ * column (already padded to the batch width when the lane's own
+ * pattern is narrower). At the mapping path's 1–2 words the scalar
+ * word loops are all a vector backend would run, too.
  */
 void
 fixupColumn(uint64_t *rstream, const uint64_t *vstream,
@@ -64,7 +67,10 @@ fixupColumn(uint64_t *rstream, const uint64_t *vstream,
             int lane, std::span<const uint16_t> succs,
             std::vector<uint64_t> &temp)
 {
-    const bitops::KernelOps &ops = bitops::kernels();
+    using bitops::andShiftAnd;
+    using bitops::fusedCell;
+    using bitops::shiftLeftOneOr;
+    using bitops::shiftLeftOneOrAnd;
     const size_t levels = static_cast<size_t>(k) + 1;
     const size_t col = levels * nw; // dense words per column
     // Slot 0 is the recomputed output column; slot 1+s holds successor
@@ -82,26 +88,26 @@ fixupColumn(uint64_t *rstream, const uint64_t *vstream,
         // Interior sink: recurrence against the virtual successor.
         uint64_t *v = out + col;
         gatherVirtual(vstream, levels, nw, lane, v);
-        ops.shiftLeftOneOr(out, v, pm, inw);
+        shiftLeftOneOr(out, v, pm, inw);
         for (int d = 1; d <= k; ++d)
-            ops.fusedCell(out + d * nw, out + (d - 1) * nw,
-                          v + (d - 1) * nw, v + d * nw, pm, inw);
+            fusedCell(out + d * nw, out + (d - 1) * nw, v + (d - 1) * nw,
+                      v + d * nw, pm, inw);
     } else {
         for (size_t s = 0; s < succs.size(); ++s)
             gatherColumn(rstream, t - succs[s], levels, nw, lane,
                          out + (1 + s) * col);
         const uint64_t *s0 = out + col;
-        ops.shiftLeftOneOr(out, s0, pm, inw);
+        shiftLeftOneOr(out, s0, pm, inw);
         for (size_t s = 1; s < succs.size(); ++s)
-            ops.shiftLeftOneOrAnd(out, out + (1 + s) * col, pm, inw);
+            shiftLeftOneOrAnd(out, out + (1 + s) * col, pm, inw);
         for (int d = 1; d <= k; ++d) {
             uint64_t *rd = out + d * nw;
-            ops.fusedCell(rd, out + (d - 1) * nw, s0 + (d - 1) * nw,
-                          s0 + d * nw, pm, inw);
+            fusedCell(rd, out + (d - 1) * nw, s0 + (d - 1) * nw,
+                      s0 + d * nw, pm, inw);
             for (size_t s = 1; s < succs.size(); ++s) {
                 const uint64_t *ss = out + (1 + s) * col;
-                ops.andShiftAnd(rd, ss + (d - 1) * nw, inw); // D & S
-                ops.shiftLeftOneOrAnd(rd, ss + d * nw, pm, inw); // M
+                andShiftAnd(rd, ss + (d - 1) * nw, inw); // D & S
+                shiftLeftOneOrAnd(rd, ss + d * nw, pm, inw); // M
             }
         }
     }
@@ -149,12 +155,15 @@ struct BatchAccessor
     }
 };
 
-} // namespace
-
+/**
+ * alignWindowBatch proper. @p traceback false stops every lane after
+ * the best-hit scan (alignWindowDistanceOnly): found, editDistance and
+ * startPos only.
+ */
 void
-alignWindowBatch(const WindowedAlignStream::Request *const requests[],
-                 WindowResult *const results[], int count,
-                 WindowBatchScratch &scratch)
+alignLanes(const WindowedAlignStream::Request *const requests[],
+           WindowResult *const results[], int count, bool traceback,
+           AlignScratch &scratch)
 {
     SEGRAM_CHECK(count >= 1 && count <= kLanes,
                  "batch size must be in [1, kBatchLanes]");
@@ -192,8 +201,10 @@ alignWindowBatch(const WindowedAlignStream::Request *const requests[],
     uint64_t *vstream = scratch.slab.take(v_words);
 
     // Virtual sink vectors, lane-major. Idle and retired lanes keep
-    // all-ones (their R garbage is never probed); active lane w clears
-    // bits [0, min(d, m_w)) exactly like the per-window path.
+    // all-ones (their R garbage is never probed). At edit level d, a
+    // pattern suffix of length <= d can still be consumed past the text
+    // end using insertions only, so active lane w clears bits
+    // [0, min(d, m_w)).
     bitops::fillOnes(vstream, static_cast<int>(v_words));
     for (int w = 0; w < count; ++w) {
         const int m_w = scratch.pm[w].m;
@@ -256,9 +267,8 @@ alignWindowBatch(const WindowedAlignStream::Request *const requests[],
         }
     }
 
-    // Per-lane find + traceback through the shared walks — identical
-    // logic, different storage, so outputs match the per-window path
-    // bit for bit.
+    // Per-lane find + traceback: each lane's walk reads only its own
+    // bits, so a lane's output is independent of its batch mates.
     for (int w = 0; w < count; ++w) {
         WindowResult &result = *results[w];
         result.clear();
@@ -281,12 +291,72 @@ alignWindowBatch(const WindowedAlignStream::Request *const requests[],
         result.found = true;
         result.startPos = start;
         result.editDistance = dist;
+        if (!traceback)
+            continue;
         detail::tracebackWalk(acc, req.window, scratch.pm[w], start, dist,
                               &result);
         SEGRAM_DCHECK(static_cast<int>(result.cigar.editDistance()) == dist,
                       "traceback must realize the minimal distance");
         result.editDistance = static_cast<int>(result.cigar.editDistance());
     }
+}
+
+/** One request through alignLanes at one lane. */
+void
+alignOneLane(const graph::LinearizedGraphView &text,
+             std::string_view pattern, int k, AlignMode mode,
+             bool traceback, AlignScratch &scratch, WindowResult &out)
+{
+    const WindowedAlignStream::Request request{text, pattern, k, mode};
+    const WindowedAlignStream::Request *requests[] = {&request};
+    WindowResult *results[] = {&out};
+    alignLanes(requests, results, 1, traceback, scratch);
+}
+
+} // namespace
+
+void
+alignWindowBatch(const WindowedAlignStream::Request *const requests[],
+                 WindowResult *const results[], int count,
+                 AlignScratch &scratch)
+{
+    alignLanes(requests, results, count, true, scratch);
+}
+
+WindowResult
+alignWindow(const graph::LinearizedGraphView &text,
+            std::string_view pattern, int k, AlignMode mode)
+{
+    AlignScratch scratch;
+    WindowResult result;
+    alignOneLane(text, pattern, k, mode, true, scratch, result);
+    return result;
+}
+
+void
+alignWindow(const graph::LinearizedGraphView &text,
+            std::string_view pattern, int k, AlignMode mode,
+            AlignScratch &scratch, WindowResult &out)
+{
+    alignOneLane(text, pattern, k, mode, true, scratch, out);
+}
+
+WindowResult
+alignWindowDistanceOnly(const graph::LinearizedGraphView &text,
+                        std::string_view pattern, int k, AlignMode mode)
+{
+    AlignScratch scratch;
+    WindowResult result;
+    alignOneLane(text, pattern, k, mode, false, scratch, result);
+    return result;
+}
+
+void
+alignWindowDistanceOnly(const graph::LinearizedGraphView &text,
+                        std::string_view pattern, int k, AlignMode mode,
+                        AlignScratch &scratch, WindowResult &out)
+{
+    alignOneLane(text, pattern, k, mode, false, scratch, out);
 }
 
 } // namespace segram::align

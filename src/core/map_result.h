@@ -73,9 +73,10 @@ struct PipelineStats
     // Lane-occupancy telemetry of the batched BitAlign path. All three
     // are deterministic counters (thread-count-invariant, like the
     // work counters above): windows aligned through batched kernel
-    // launches, the launches themselves (occupancy = batchedWindows /
-    // batchLaunches), and windows that fell back to the per-window
-    // kernels (singleton groups, mismatched widths).
+    // launches of two or more lanes, the launches themselves
+    // (occupancy = batchedWindows / batchLaunches), and windows of a
+    // lone draining lane, which run the same kernel at one lane and are
+    // not counted as launches.
     uint64_t batchedWindows = 0;
     uint64_t batchLaunches = 0;
     uint64_t scalarWindows = 0;

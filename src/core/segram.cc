@@ -510,29 +510,24 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
         const auto align_start = timed ? clock::now() : clock::time_point{};
         // Every pending request joins one batch (k is uniform: every
         // request carries config_.bitalign.windowEditCap, and
-        // alignWindowBatch pads mixed widths to the widest lane), so
-        // rounds with >= 2 active lanes always go through the
-        // lane-batched kernels; only a lone draining lane takes the
-        // per-window path. Lane order is deterministic, so the
-        // occupancy counters are too.
+        // alignWindowBatch pads mixed widths to the widest lane). A
+        // lone draining lane runs the same kernel at one lane; it is
+        // counted as a scalar window, not a launch, so the occupancy
+        // counters keep their meaning. Lane order is deterministic, so
+        // the counters are too.
+        const align::WindowedAlignStream::Request
+            *requests[bitops::kBatchLanes];
+        align::WindowResult *window_results[bitops::kBatchLanes];
+        for (int i = 0; i < num_pending; ++i) {
+            requests[i] = &pending[i]->stream.request();
+            window_results[i] = &pending[i]->window;
+        }
+        align::alignWindowBatch(requests, window_results, num_pending,
+                                workspace.align);
         if (num_pending >= 2) {
-            const align::WindowedAlignStream::Request
-                *requests[bitops::kBatchLanes];
-            align::WindowResult *window_results[bitops::kBatchLanes];
-            for (int i = 0; i < num_pending; ++i) {
-                requests[i] = &pending[i]->stream.request();
-                window_results[i] = &pending[i]->window;
-            }
-            align::alignWindowBatch(requests, window_results, num_pending,
-                                    workspace.batch);
             ++local.batchLaunches;
             local.batchedWindows += static_cast<uint64_t>(num_pending);
         } else {
-            const align::WindowedAlignStream::Request &request =
-                pending[0]->stream.request();
-            align::alignWindow(request.window, request.pattern, request.k,
-                               request.mode, workspace.align,
-                               pending[0]->window);
             ++local.scalarWindows;
         }
         if (timed)

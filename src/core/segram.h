@@ -141,8 +141,8 @@ class SegramMapper : public MappingEngine
      * speculatively from later regions of a task whose early-exit
      * check is still pending. Each round, every pending
      * window request joins one lane-batched kernel launch (mixed
-     * widths pad to the widest); a lone draining lane takes the
-     * per-window path. Region outcomes commit strictly in region
+     * widths pad to the widest); a lone draining lane runs the same
+     * kernel at one lane. Region outcomes commit strictly in region
      * order and speculative work past an early exit is discarded, so
      * every per-strand decision (region order, best-update
      * tie-breaking, early exit, strand merge) and every committed

@@ -116,11 +116,12 @@ struct MapWorkspace
 
     // --- alignment ---
     graph::LinearizedGraph linearization; ///< candidate-region subgraph
-    align::AlignScratch align;            ///< bitvector slab + PM masks
+    /** Lane-major bitvector streams + per-lane PM masks, shared by
+     *  mapRead's windows and mapMany's batches. */
+    align::AlignScratch align;
     align::GraphAlignment alignment;      ///< per-region result (reused)
 
     // --- lane-batched scheduling (SegramMapper::mapMany) ---
-    align::WindowBatchScratch batch;  ///< lane-major bitvector streams
     std::vector<StrandTask> tasks;    ///< strand-task pool
     std::vector<int> activeTasks;     ///< pool indices, activation order
     std::vector<LaneSlot> lanes;      ///< kBatchLanes region streams

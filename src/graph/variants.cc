@@ -75,8 +75,8 @@ canonicalizeSet(const std::vector<io::VcfRecord> &records,
         const bool overlaps = !first && start < next_free;
         const bool same_point_insertion =
             !first && start == next_free &&
-            variant.kind() == VariantKind::Insertion && next_free > 0 &&
-            !kept.empty() && kept.back().pos == start &&
+            variant.kind() == VariantKind::Insertion && !kept.empty() &&
+            kept.back().pos == start &&
             kept.back().kind() == VariantKind::Insertion;
         if (overlaps || same_point_insertion) {
             ++drop_count;

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "src/util/check.h"
 #include "src/util/dna.h"
@@ -13,6 +14,23 @@ namespace segram::io
 {
 
 using util::splitTabs;
+
+namespace
+{
+
+/**
+ * @return True for ALT alleles that carry no spliceable sequence:
+ *         symbolic (<DEL>, <NON_REF>), breakends (t[p[ / ]p]t), the
+ *         spanning deletion '*' and the missing value '.'.
+ */
+bool
+isSymbolicAlt(std::string_view alt)
+{
+    return alt.front() == '<' || alt == "*" || alt == "." ||
+           alt.find_first_of("[]") != std::string_view::npos;
+}
+
+} // namespace
 
 std::vector<VcfRecord>
 readVcf(std::istream &in)
@@ -43,17 +61,20 @@ readVcf(std::istream &in)
         base.ref = normalizeDna(fields[3]);
         SEGRAM_CHECK(!base.ref.empty(), "VCF line " +
                          std::to_string(line_no) + " has empty REF");
-        // Expand multi-allelic ALT.
+        // Expand multi-allelic ALT, skipping alleles without sequence
+        // (a line of only those contributes no record).
         std::stringstream alts{std::string(fields[4])};
         std::string alt;
         bool any = false;
         while (std::getline(alts, alt, ',')) {
             SEGRAM_CHECK(!alt.empty(), "VCF line " +
                              std::to_string(line_no) + " has empty ALT");
+            any = true;
+            if (isSymbolicAlt(alt))
+                continue;
             VcfRecord record = base;
             record.alt = normalizeDna(alt);
             records.push_back(std::move(record));
-            any = true;
         }
         SEGRAM_CHECK(any, "VCF line " + std::to_string(line_no) +
                               " has empty ALT column");

@@ -22,80 +22,12 @@ namespace
 // ------------------------------------------------------------- scalar
 // The reference implementations. Every other backend must be
 // bit-identical to these (pure integer ops, so any equivalent
-// reassociation is). Loops run high-to-low wherever a shifted source
-// may fully alias the destination, mirroring the vector backends.
-
-void
-scalarShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-void
-scalarAndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = 0; i < nwords; ++i)
-        dst[i] &= src[i];
-}
-
-void
-scalarShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                     const uint64_t *mask, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] = ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] = (src[0] << 1) | mask[0];
-}
-
-void
-scalarShiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                        const uint64_t *mask, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] &= ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] &= (src[0] << 1) | mask[0];
-}
-
-void
-scalarAndShiftAnd(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] &= src[i] & ((src[i] << 1) | (src[i - 1] >> 63));
-    if (nwords > 0)
-        dst[0] &= src[0] & (src[0] << 1);
-}
-
-void
-scalarFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-                const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i) {
-        dst[i] = ((ins[i] << 1) | (ins[i - 1] >> 63)) & ds[i] &
-                 ((ds[i] << 1) | (ds[i - 1] >> 63)) &
-                 (((match[i] << 1) | (match[i - 1] >> 63)) | pm[i]);
-    }
-    if (nwords > 0) {
-        dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
-                 ((match[0] << 1) | pm[0]);
-    }
-}
-
-void
-scalarFillOnes(uint64_t *dst, int nwords)
-{
-    for (int i = 0; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
-}
+// reassociation is).
 
 // Lane-batched ops: word group j of lane w lives at j * kBatchLanes + w
 // and the shift carry flows from group j-1 to group j within one lane.
-// Groups run high-to-low like the single-window shifts, so a fully
-// aliased dst == src never overwrites a group a lower pass still reads.
+// Groups run high-to-low, so a fully aliased dst == src never
+// overwrites a group a lower pass still reads.
 
 void
 scalarBatchShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
@@ -154,18 +86,18 @@ scalarBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
 }
 
 constexpr KernelOps kScalarOps = {
-    scalarShiftLeftOne,  scalarAndInPlace, scalarShiftLeftOneOr,
-    scalarShiftLeftOneOrAnd, scalarAndShiftAnd, scalarFusedCell,
-    scalarFillOnes, scalarBatchShiftLeftOneOr, scalarBatchFusedCell,
+    scalarBatchShiftLeftOneOr,
+    scalarBatchFusedCell,
     scalarBatchColumn,
 };
 
 // --------------------------------------------------------------- AVX2
-// Four words per lane-parallel step. The cross-word carry of a
-// shift-left is materialized by a second, one-word-lower unaligned
-// load: word i's carry-in is bit 63 of word i-1. Blocks run
-// high-to-low so a fully aliased destination never overwrites a word
-// a later (lower) block still needs to read.
+// One word group of all kBatchLanes lanes is exactly one 256-bit
+// register. The per-lane carry of a shift-left is materialized by a
+// second load of the group below: group j's carry-in is bit 63 of
+// group j-1, lane by lane, so no cross-lane permute is ever needed.
+// Groups run high-to-low so a fully aliased destination never
+// overwrites a group a later (lower) pass still needs to read.
 #if defined(SEGRAM_KERNELS_AVX2)
 
 __attribute__((target("avx2"))) inline __m256i
@@ -180,158 +112,6 @@ avx2Load(const uint64_t *p)
 {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
 }
-
-__attribute__((target("avx2"))) void
-avx2ShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i - 3),
-                            avx2ShiftIn(v, p));
-    }
-    for (; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-__attribute__((target("avx2"))) void
-avx2AndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = 0;
-    for (; i + 4 <= nwords; i += 4) {
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_and_si256(d, s));
-    }
-    for (; i < nwords; ++i)
-        dst[i] &= src[i];
-}
-
-__attribute__((target("avx2"))) void
-avx2ShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                   const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        const __m256i m = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(mask + i - 3));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i - 3),
-            _mm256_or_si256(avx2ShiftIn(v, p), m));
-    }
-    for (; i >= 1; --i)
-        dst[i] = ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] = (src[0] << 1) | mask[0];
-}
-
-__attribute__((target("avx2"))) void
-avx2ShiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                      const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        const __m256i m = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(mask + i - 3));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i - 3));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i - 3),
-            _mm256_and_si256(d,
-                             _mm256_or_si256(avx2ShiftIn(v, p), m)));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] &= (src[0] << 1) | mask[0];
-}
-
-__attribute__((target("avx2"))) void
-avx2AndShiftAnd(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i - 3));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i - 3),
-            _mm256_and_si256(d,
-                             _mm256_and_si256(v, avx2ShiftIn(v, p))));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= src[i] & ((src[i] << 1) | (src[i - 1] >> 63));
-    if (nwords > 0)
-        dst[0] &= src[0] & (src[0] << 1);
-}
-
-__attribute__((target("avx2"))) void
-avx2FusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-              const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i iv = avx2Load(ins + i - 3);
-        const __m256i ip = avx2Load(ins + i - 4);
-        const __m256i dv = avx2Load(ds + i - 3);
-        const __m256i dp = avx2Load(ds + i - 4);
-        const __m256i mv = avx2Load(match + i - 3);
-        const __m256i mp = avx2Load(match + i - 4);
-        const __m256i pmv = avx2Load(pm + i - 3);
-        const __m256i cell = _mm256_and_si256(
-            _mm256_and_si256(avx2ShiftIn(iv, ip), dv),
-            _mm256_and_si256(
-                avx2ShiftIn(dv, dp),
-                _mm256_or_si256(avx2ShiftIn(mv, mp), pmv)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i - 3),
-                            cell);
-    }
-    for (; i >= 1; --i) {
-        dst[i] = ((ins[i] << 1) | (ins[i - 1] >> 63)) & ds[i] &
-                 ((ds[i] << 1) | (ds[i - 1] >> 63)) &
-                 (((match[i] << 1) | (match[i - 1] >> 63)) | pm[i]);
-    }
-    if (nwords > 0) {
-        dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
-                 ((match[0] << 1) | pm[0]);
-    }
-}
-
-__attribute__((target("avx2"))) void
-avx2FillOnes(uint64_t *dst, int nwords)
-{
-    int i = 0;
-    const __m256i ones = _mm256_set1_epi64x(-1);
-    for (; i + 4 <= nwords; i += 4)
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), ones);
-    for (; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
-}
-
-// Lane-batched ops: one word group of all kBatchLanes lanes is exactly
-// one 256-bit register, and the per-lane carry between word groups is
-// the same lane-wise shift-in the single-window kernels use — no
-// cross-lane permutes anywhere. Group order is high-to-low so a fully
-// aliased shifting dst stays safe.
 
 __attribute__((target("avx2"))) void
 avx2BatchShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
@@ -465,17 +245,17 @@ avx2BatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    avx2ShiftLeftOne,  avx2AndInPlace, avx2ShiftLeftOneOr,
-    avx2ShiftLeftOneOrAnd, avx2AndShiftAnd, avx2FusedCell,
-    avx2FillOnes, avx2BatchShiftLeftOneOr, avx2BatchFusedCell,
+    avx2BatchShiftLeftOneOr,
+    avx2BatchFusedCell,
     avx2BatchColumn,
 };
 
 #endif // SEGRAM_KERNELS_AVX2
 
 // --------------------------------------------------------------- NEON
-// Two words per step on the baseline aarch64 vector unit; same
-// carry-by-lower-load and high-to-low block order as AVX2.
+// One word group of the 4 lanes spans two 128-bit registers on the
+// baseline aarch64 vector unit; same lane-wise carry-by-lower-load and
+// high-to-low group order as AVX2.
 #if defined(SEGRAM_KERNELS_NEON)
 
 inline uint64x2_t
@@ -483,127 +263,6 @@ neonShiftIn(uint64x2_t v, uint64x2_t below)
 {
     return vorrq_u64(vshlq_n_u64(v, 1), vshrq_n_u64(below, 63));
 }
-
-void
-neonShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        vst1q_u64(dst + i - 1, neonShiftIn(v, p));
-    }
-    for (; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-void
-neonAndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = 0;
-    for (; i + 2 <= nwords; i += 2)
-        vst1q_u64(dst + i,
-                  vandq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    for (; i < nwords; ++i)
-        dst[i] &= src[i];
-}
-
-void
-neonShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                   const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        vst1q_u64(dst + i - 1,
-                  vorrq_u64(neonShiftIn(v, p), vld1q_u64(mask + i - 1)));
-    }
-    for (; i >= 1; --i)
-        dst[i] = ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] = (src[0] << 1) | mask[0];
-}
-
-void
-neonShiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                      const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        const uint64x2_t term =
-            vorrq_u64(neonShiftIn(v, p), vld1q_u64(mask + i - 1));
-        vst1q_u64(dst + i - 1, vandq_u64(vld1q_u64(dst + i - 1), term));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] &= (src[0] << 1) | mask[0];
-}
-
-void
-neonAndShiftAnd(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        const uint64x2_t term = vandq_u64(v, neonShiftIn(v, p));
-        vst1q_u64(dst + i - 1, vandq_u64(vld1q_u64(dst + i - 1), term));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= src[i] & ((src[i] << 1) | (src[i - 1] >> 63));
-    if (nwords > 0)
-        dst[0] &= src[0] & (src[0] << 1);
-}
-
-void
-neonFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-              const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t iv = vld1q_u64(ins + i - 1);
-        const uint64x2_t ip = vld1q_u64(ins + i - 2);
-        const uint64x2_t dv = vld1q_u64(ds + i - 1);
-        const uint64x2_t dp = vld1q_u64(ds + i - 2);
-        const uint64x2_t mv = vld1q_u64(match + i - 1);
-        const uint64x2_t mp = vld1q_u64(match + i - 2);
-        const uint64x2_t pmv = vld1q_u64(pm + i - 1);
-        const uint64x2_t cell = vandq_u64(
-            vandq_u64(neonShiftIn(iv, ip), dv),
-            vandq_u64(neonShiftIn(dv, dp),
-                      vorrq_u64(neonShiftIn(mv, mp), pmv)));
-        vst1q_u64(dst + i - 1, cell);
-    }
-    for (; i >= 1; --i) {
-        dst[i] = ((ins[i] << 1) | (ins[i - 1] >> 63)) & ds[i] &
-                 ((ds[i] << 1) | (ds[i - 1] >> 63)) &
-                 (((match[i] << 1) | (match[i - 1] >> 63)) | pm[i]);
-    }
-    if (nwords > 0) {
-        dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
-                 ((match[0] << 1) | pm[0]);
-    }
-}
-
-void
-neonFillOnes(uint64_t *dst, int nwords)
-{
-    int i = 0;
-    const uint64x2_t ones = vdupq_n_u64(~uint64_t{0});
-    for (; i + 2 <= nwords; i += 2)
-        vst1q_u64(dst + i, ones);
-    for (; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
-}
-
-// Lane-batched ops: one word group of the 4 lanes spans two 128-bit
-// registers; the carry rule stays lane-wise, same as AVX2.
 
 void
 neonBatchShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
@@ -745,9 +404,8 @@ neonBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
 }
 
 constexpr KernelOps kNeonOps = {
-    neonShiftLeftOne,  neonAndInPlace, neonShiftLeftOneOr,
-    neonShiftLeftOneOrAnd, neonAndShiftAnd, neonFusedCell,
-    neonFillOnes, neonBatchShiftLeftOneOr, neonBatchFusedCell,
+    neonBatchShiftLeftOneOr,
+    neonBatchFusedCell,
     neonBatchColumn,
 };
 

@@ -1,16 +1,16 @@
 /**
  * @file
- * Vectorized kernel layer for the BitAlign word primitives.
+ * Vectorized kernel layer for the lane-batched BitAlign recurrence.
  *
  * The BitAlign recurrence (Algorithm 1) is a stream of word-wise
  * shift/AND/OR sweeps over multi-word bitvectors. In hardware every
- * R[d] word updates in parallel in the PE array; in software the same
- * parallelism maps onto SIMD lanes. This layer provides:
+ * PE of the array advances its own window; in software the same
+ * parallelism maps onto SIMD lanes, one independent window per lane
+ * (see kBatchLanes). This layer provides:
  *
- *  - KernelOps: a function table of the word primitives, including the
- *    fused combo ops (shiftLeftOneOrAnd, andShiftAnd, fusedCell) that
- *    collapse the M/S/D term sequence of one recurrence cell into a
- *    single pass over the words instead of ~6 read-modify-write sweeps.
+ *  - KernelOps: a function table of the lane-batched primitives. The
+ *    per-window word primitives they generalize have one scalar copy,
+ *    the bitops free functions in bitvector.h.
  *  - scalarKernels(): the portable reference implementation, always
  *    available, bit-identical to every other backend by construction
  *    (all ops are pure integer bit manipulation).
@@ -20,20 +20,13 @@
  *    SEGRAM_DISABLE_SIMD compile definition or a non-zero
  *    SEGRAM_DISABLE_SIMD environment variable forces the scalar table
  *    (the CI fallback leg and local bit-identity checks use this).
- *  - bitops::fixed: compile-time-width inline variants of the fused
- *    ops. The mapping hot path runs 128-bit windows (nwords == 2),
- *    where per-call dispatch and a runtime word loop cost more than
- *    the work itself; WindowComputation selects a fixed-width cell
- *    kernel per window and falls back to the dispatched table for
- *    wide patterns.
  *
- * Aliasing contract: dst == src (full overlap) is allowed for every
- * in-place op (andInPlace, andShiftAnd, shiftLeftOneOrAnd) and for the
- * shifting copies (shiftLeftOne, shiftLeftOneOr); partial overlap is
- * not. fusedCell writes a fresh destination: dst must not overlap any
- * source. All backends honor the same contract (the vector loops
- * iterate high-to-low so a fully aliased shift never reads a word it
- * already wrote).
+ * Aliasing contract: batchShiftLeftOneOr allows dst == src (full
+ * overlap); partial overlap is not allowed. batchFusedCell and
+ * batchColumn write a fresh destination that must not overlap any
+ * source. All backends honor the same contract (word groups run
+ * high-to-low so a fully aliased shift never reads a group it already
+ * wrote).
  */
 
 #ifndef SEGRAM_SRC_UTIL_BITOPS_SIMD_H
@@ -53,68 +46,26 @@ enum class KernelBackend : uint8_t
 };
 
 /**
- * Function table of the BitAlign word primitives. All ops operate on
- * arrays of @p nwords 64-bit words, least-significant word first,
- * matching the bitops free functions.
+ * Function table of the lane-batched BitAlign primitives. Every op
+ * runs kBatchLanes windows of @p nwords 64-bit words each, in the
+ * lane-major layout, least-significant word group first.
  */
 struct KernelOps
 {
-    /** dst = src << 1 (0 shifted into bit 0). */
-    void (*shiftLeftOne)(uint64_t *dst, const uint64_t *src, int nwords);
-
-    /** dst &= src. */
-    void (*andInPlace)(uint64_t *dst, const uint64_t *src, int nwords);
-
-    /** dst = (src << 1) | mask. */
-    void (*shiftLeftOneOr)(uint64_t *dst, const uint64_t *src,
-                           const uint64_t *mask, int nwords);
-
-    /**
-     * Fused M term: dst &= ((src << 1) | mask). Replaces a
-     * shiftLeftOneOr into scratch plus an andInPlace (two sweeps, one
-     * temporary) with a single sweep and no temporary.
-     */
-    void (*shiftLeftOneOrAnd)(uint64_t *dst, const uint64_t *src,
-                              const uint64_t *mask, int nwords);
-
-    /**
-     * Fused D & S terms: dst &= src & (src << 1). One sweep for the
-     * deletion (unshifted) and substitution (shifted) vectors of a
-     * successor, which always arrive as the same source.
-     */
-    void (*andShiftAnd)(uint64_t *dst, const uint64_t *src, int nwords);
-
-    /**
-     * One whole single-successor recurrence cell in one sweep:
-     *
-     *   dst = (ins << 1) & ds & (ds << 1) & ((match << 1) | pm)
-     *
-     * i.e. I & D & S & M with ins = R[i][d-1], ds = R[j][d-1],
-     * match = R[j][d]. This is the op the BitAlign PE array computes
-     * per cycle; fusing it turns ~6 read-modify-write sweeps per
-     * (i, d) cell into 4 loads and 1 store per word.
-     */
-    void (*fusedCell)(uint64_t *dst, const uint64_t *ins,
-                      const uint64_t *ds, const uint64_t *match,
-                      const uint64_t *pm, int nwords);
-
-    /** Sets all words to all-ones. */
-    void (*fillOnes)(uint64_t *dst, int nwords);
-
     /**
      * Lane-batched dst = (src << 1) | mask over kBatchLanes independent
      * windows in the lane-major layout (see kBatchLanes). The shift
      * carry propagates within each lane only (word group j-1 of lane w
      * feeds word group j of lane w); lanes never mix, so one batched
-     * sweep is bit-identical to kBatchLanes scalar shiftLeftOneOr calls
+     * sweep is bit-identical to kBatchLanes bitops::shiftLeftOneOr calls
      * on the de-interleaved vectors.
      */
     void (*batchShiftLeftOneOr)(uint64_t *dst, const uint64_t *src,
                                 const uint64_t *mask, int nwords);
 
     /**
-     * Lane-batched fusedCell: one whole single-successor recurrence
-     * cell for kBatchLanes independent windows per sweep. Same
+     * Lane-batched bitops::fusedCell: one whole single-successor
+     * recurrence cell for kBatchLanes independent windows per sweep. Same
      * lane-major layout and per-lane carry rule as batchShiftLeftOneOr;
      * dst must not overlap any source.
      */
@@ -148,8 +99,8 @@ struct KernelOps
  * j * kBatchLanes + w, so group j of all lanes is one contiguous
  * 256-bit block — exactly one AVX2 register (4 x 64-bit lanes). The
  * constant is the same for every backend (scalar and NEON included):
- * the layout, and therefore batched-vs-per-window bit-identity, never
- * depends on which table executes the sweep.
+ * the layout, and therefore every window's output, never depends on
+ * which table executes the sweep or which lane the window rides in.
  */
 constexpr int kBatchLanes = 4;
 
@@ -184,85 +135,6 @@ const char *backendName(KernelBackend backend);
 
 /** @return backendName(activeBackend()). */
 const char *activeBackendName();
-
-/**
- * Compile-time-width variants of the kernel primitives for the narrow
- * bitvectors of the windowed mapping path (windowLen 128 -> 2 words).
- * The word loop fully unrolls and every carry lives in a register, so
- * one recurrence cell compiles to straight-line code with no calls.
- * Semantics are word-for-word those of the KernelOps entries.
- */
-namespace fixed
-{
-
-template <int NW>
-inline void
-shiftLeftOne(uint64_t *dst, const uint64_t *src)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] = (s << 1) | carry;
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-shiftLeftOneOr(uint64_t *dst, const uint64_t *src, const uint64_t *mask)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] = ((s << 1) | carry) | mask[w];
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-shiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                  const uint64_t *mask)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] &= ((s << 1) | carry) | mask[w];
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-andShiftAnd(uint64_t *dst, const uint64_t *src)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] &= s & ((s << 1) | carry);
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-fusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-          const uint64_t *match, const uint64_t *pm)
-{
-    uint64_t ci = 0, cd = 0, cm = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t iv = ins[w];
-        const uint64_t dv = ds[w];
-        const uint64_t mv = match[w];
-        dst[w] = ((iv << 1) | ci) & dv & ((dv << 1) | cd) &
-                 (((mv << 1) | cm) | pm[w]);
-        ci = iv >> 63;
-        cd = dv >> 63;
-        cm = mv >> 63;
-    }
-}
-
-} // namespace fixed
 
 } // namespace segram::bitops
 

@@ -115,15 +115,18 @@ Bitvector::repairPadding()
 namespace bitops
 {
 
+// The shifting ops run high-to-low: word i's carry-in is read straight
+// from src[i-1] rather than carried in a register, so the iterations are
+// independent (the compiler vectorizes them) and a fully aliased
+// dst == src never overwrites a word a lower iteration still reads.
+
 void
 shiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
 {
-    uint64_t carry = 0;
-    for (int i = 0; i < nwords; ++i) {
-        const uint64_t next_carry = src[i] >> 63;
-        dst[i] = (src[i] << 1) | carry;
-        carry = next_carry;
-    }
+    for (int i = nwords - 1; i >= 1; --i)
+        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
+    if (nwords > 0)
+        dst[0] = src[0] << 1;
 }
 
 void
@@ -144,11 +147,43 @@ void
 shiftLeftOneOr(uint64_t *dst, const uint64_t *src, const uint64_t *mask,
                int nwords)
 {
-    uint64_t carry = 0;
-    for (int i = 0; i < nwords; ++i) {
-        const uint64_t next_carry = src[i] >> 63;
-        dst[i] = ((src[i] << 1) | carry) | mask[i];
-        carry = next_carry;
+    for (int i = nwords - 1; i >= 1; --i)
+        dst[i] = ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
+    if (nwords > 0)
+        dst[0] = (src[0] << 1) | mask[0];
+}
+
+void
+shiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src, const uint64_t *mask,
+                  int nwords)
+{
+    for (int i = nwords - 1; i >= 1; --i)
+        dst[i] &= ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
+    if (nwords > 0)
+        dst[0] &= (src[0] << 1) | mask[0];
+}
+
+void
+andShiftAnd(uint64_t *dst, const uint64_t *src, int nwords)
+{
+    for (int i = nwords - 1; i >= 1; --i)
+        dst[i] &= src[i] & ((src[i] << 1) | (src[i - 1] >> 63));
+    if (nwords > 0)
+        dst[0] &= src[0] & (src[0] << 1);
+}
+
+void
+fusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
+          const uint64_t *match, const uint64_t *pm, int nwords)
+{
+    for (int i = nwords - 1; i >= 1; --i) {
+        dst[i] = ((ins[i] << 1) | (ins[i - 1] >> 63)) & ds[i] &
+                 ((ds[i] << 1) | (ds[i - 1] >> 63)) &
+                 (((match[i] << 1) | (match[i - 1] >> 63)) | pm[i]);
+    }
+    if (nwords > 0) {
+        dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
+                 ((match[0] << 1) | pm[0]);
     }
 }
 

@@ -121,9 +121,17 @@ class Bitvector
 };
 
 /**
- * Free-function kernels operating on raw word arrays. BitAlignCore uses
- * these on flat storage to avoid per-node allocations; Bitvector methods
- * forward to them so both layers share one implementation.
+ * Free-function kernels operating on raw word arrays: the one scalar
+ * copy of the per-window BitAlign word primitives. Bitvector methods
+ * forward to them, the lane-batched kernel's exception fixup runs them
+ * on one lane's gathered column, GenASM's rolling columns use them, and
+ * the batch-kernel tests take them as the reference.
+ *
+ * Aliasing contract: dst == src (full overlap) is allowed for every
+ * in-place op (andInPlace, orInPlace, andShiftAnd, shiftLeftOneOrAnd)
+ * and for the shifting copies (shiftLeftOne, shiftLeftOneOr); partial
+ * overlap is not. fusedCell writes a fresh destination: dst must not
+ * overlap any source.
  */
 namespace bitops
 {
@@ -147,6 +155,31 @@ void orInPlace(uint64_t *dst, const uint64_t *src, int nwords);
 /** dst = (src << 1) | mask over @p nwords words. */
 void shiftLeftOneOr(uint64_t *dst, const uint64_t *src, const uint64_t *mask,
                     int nwords);
+
+/**
+ * Fused M term: dst &= ((src << 1) | mask) in one sweep and no
+ * temporary (a shiftLeftOneOr into scratch plus an andInPlace).
+ */
+void shiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
+                       const uint64_t *mask, int nwords);
+
+/**
+ * Fused D & S terms: dst &= src & (src << 1). The deletion (unshifted)
+ * and substitution (shifted) vectors of a successor always arrive as
+ * the same source.
+ */
+void andShiftAnd(uint64_t *dst, const uint64_t *src, int nwords);
+
+/**
+ * One whole single-successor recurrence cell in one sweep:
+ *
+ *   dst = (ins << 1) & ds & (ds << 1) & ((match << 1) | pm)
+ *
+ * i.e. I & D & S & M with ins = R[i][d-1], ds = R[j][d-1],
+ * match = R[j][d] — the op the BitAlign PE array computes per cycle.
+ */
+void fusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
+               const uint64_t *match, const uint64_t *pm, int nwords);
 
 /** Sets all @p nwords words to all-ones. */
 void fillOnes(uint64_t *dst, int nwords);

@@ -461,7 +461,7 @@ TEST(BitAlign, ViewAlignsLikeWindowCopy)
 void
 expectBatchMatchesPerWindow(
     const std::vector<WindowedAlignStream::Request> &requests,
-    WindowBatchScratch &scratch, const std::string &label)
+    AlignScratch &scratch, const std::string &label)
 {
     const int count = static_cast<int>(requests.size());
     std::vector<WindowResult> batched(requests.size());
@@ -496,7 +496,7 @@ TEST(WindowBatch, MatchesPerWindowOnRandomChains)
     // lengths differ -> early-retiring lanes; pattern lengths cross
     // the 64-bit word boundary -> mixed-width batches), mixed modes.
     Rng rng(0xba7c41);
-    WindowBatchScratch scratch;
+    AlignScratch scratch;
     std::vector<LinearizedGraph> texts;
     std::vector<std::string> patterns;
     for (int trial = 0; trial < 60; ++trial) {
@@ -547,7 +547,7 @@ TEST(WindowBatch, MatchesPerWindowOnBranchyGraphs)
         graph::linearizeWhole(ins), graph::linearizeWhole(multi)};
     const std::string patterns[] = {"ACGGACGT", "ACGAACGT", "ACGTTTACGT",
                                     "ACCTACGTTACGT"};
-    WindowBatchScratch scratch;
+    AlignScratch scratch;
     std::vector<WindowedAlignStream::Request> requests;
     for (int w = 0; w < 4; ++w)
         requests.push_back({graph::LinearizedGraphView(texts[w]),
@@ -567,7 +567,7 @@ TEST(WindowBatch, MixedWidthLanesStayBitIdentical)
     const LinearizedGraph whole = chain(text);
     const std::string narrow = text.substr(10, 20);   // 1 word
     const std::string wide = text.substr(40, 100);    // 2 words
-    WindowBatchScratch scratch;
+    AlignScratch scratch;
     std::vector<WindowedAlignStream::Request> requests = {
         {graph::LinearizedGraphView(whole), narrow, 4,
          AlignMode::SemiGlobal},
@@ -590,7 +590,7 @@ TEST(WindowBatch, RejectsMismatchedEditCaps)
     const WindowedAlignStream::Request *reqs[] = {&a, &b};
     WindowResult ra, rb;
     WindowResult *results[] = {&ra, &rb};
-    WindowBatchScratch scratch;
+    AlignScratch scratch;
     EXPECT_THROW(alignWindowBatch(reqs, results, 2, scratch), InputError);
     EXPECT_THROW(alignWindowBatch(reqs, results, 0, scratch), InputError);
 }

@@ -50,53 +50,86 @@ using graph::LinearizedGraph;
 
 TEST(Differential, BitAlignAgreesWithGraphDpOnRandomDags)
 {
-    // 24 seeds x 14 trials = 336 (graph, read) cases; BitAlign and the
-    // exact DP must agree on every single one — zero disagreements.
+    // Two read families, zero disagreements on every case:
+    //  - short: 24 seeds x 14 trials = 336 (graph, read) cases of
+    //    8–55 bp, one-word patterns;
+    //  - wide: 12 seeds x 3 trials = 36 cases of 200–600 bp reads
+    //    (4–10 words) on branchy, sink-free DAGs, so the batch kernel's
+    //    generic-width column and its fixup path run at those widths.
+    struct Family
+    {
+        int seeds, trials, seedBase;
+        int minLen, lenSpan; ///< sampled path length
+        double hopProb, breakProb, maxRate;
+        bool wide;
+    };
+    const Family families[] = {
+        {24, 14, 900'000, 8, 48, 0.18, 0.02, 0.20, false},
+        {12, 3, 910'000, 200, 401, 0.25, 0.0, 0.08, true},
+    };
     int cases = 0;
+    int wide_cases = 0;
     int disagreements = 0;
-    for (int seed = 1; seed <= 24; ++seed) {
-        Rng rng(900'000 + seed);
-        for (int trial = 0; trial < 14; ++trial) {
-            const int size = 20 + static_cast<int>(rng.nextBelow(140));
-            const auto text = randomDag(rng, size, 0.18, 0.02);
-            int edits = 0;
-            const std::string path = samplePath(
-                text, rng, 8 + static_cast<int>(rng.nextBelow(48)));
-            const double rate = 0.02 + 0.18 * rng.nextDouble();
-            const std::string read = mutate(path, rng, rate, &edits);
-            const int k = std::max<int>(6, edits + 4);
-            ++cases;
+    for (const Family &family : families) {
+        for (int seed = 1; seed <= family.seeds; ++seed) {
+            Rng rng(family.seedBase + seed);
+            for (int trial = 0; trial < family.trials; ++trial) {
+                const int len =
+                    family.minLen +
+                    static_cast<int>(rng.nextBelow(family.lenSpan));
+                // Short reads sample anywhere in a 20–159-node DAG;
+                // wide ones start near the source of a DAG long enough
+                // for the whole path (hops advance ~1.6 nodes per
+                // character).
+                const int size =
+                    family.wide
+                        ? 2 * len + 100
+                        : 20 + static_cast<int>(rng.nextBelow(140));
+                const auto text = randomDag(rng, size, family.hopProb,
+                                            family.breakProb);
+                int edits = 0;
+                const std::string path =
+                    samplePath(text, rng, len, family.wide ? 50 : -1);
+                const double rate =
+                    0.02 + family.maxRate * rng.nextDouble();
+                const std::string read = mutate(path, rng, rate, &edits);
+                const int k = std::max<int>(6, edits + 4);
+                ++cases;
+                wide_cases += read.size() >= 200;
 
-            const auto bitalign = alignWindow(text, read, k);
-            const auto oracle = baseline::dpGraphDistance(text, read);
-            if (oracle.editDistance > k) {
-                // Above threshold BitAlign must not claim a hit.
-                EXPECT_FALSE(bitalign.found)
+                const auto bitalign = alignWindow(text, read, k);
+                const auto oracle =
+                    baseline::dpGraphDistance(text, read);
+                if (oracle.editDistance > k) {
+                    // Above threshold BitAlign must not claim a hit.
+                    EXPECT_FALSE(bitalign.found)
+                        << "seed " << seed << " trial " << trial;
+                    disagreements += bitalign.found;
+                    continue;
+                }
+                ASSERT_TRUE(bitalign.found)
+                    << "seed " << seed << " trial " << trial
+                    << " oracle " << oracle.editDistance << " k " << k;
+                EXPECT_EQ(bitalign.editDistance, oracle.editDistance)
                     << "seed " << seed << " trial " << trial;
-                disagreements += bitalign.found;
-                continue;
-            }
-            ASSERT_TRUE(bitalign.found)
-                << "seed " << seed << " trial " << trial << " oracle "
-                << oracle.editDistance << " k " << k;
-            EXPECT_EQ(bitalign.editDistance, oracle.editDistance)
-                << "seed " << seed << " trial " << trial;
-            disagreements +=
-                bitalign.editDistance != oracle.editDistance;
+                disagreements +=
+                    bitalign.editDistance != oracle.editDistance;
 
-            // The CIGAR must be a real alignment of the read against
-            // the consumed graph path, spend the whole read, and cost
-            // exactly the claimed distance.
-            const std::string ref_path =
-                consumedPath(text, bitalign.textPositions);
-            EXPECT_TRUE(bitalign.cigar.validate(read, ref_path))
-                << "read " << read << " path " << ref_path;
-            EXPECT_EQ(bitalign.cigar.readLength(), read.size());
-            EXPECT_EQ(bitalign.cigar.editDistance(),
-                      static_cast<uint64_t>(bitalign.editDistance));
+                // The CIGAR must be a real alignment of the read
+                // against the consumed graph path, spend the whole
+                // read, and cost exactly the claimed distance.
+                const std::string ref_path =
+                    consumedPath(text, bitalign.textPositions);
+                EXPECT_TRUE(bitalign.cigar.validate(read, ref_path))
+                    << "read " << read << " path " << ref_path;
+                EXPECT_EQ(bitalign.cigar.readLength(), read.size());
+                EXPECT_EQ(bitalign.cigar.editDistance(),
+                          static_cast<uint64_t>(bitalign.editDistance));
+            }
         }
     }
     EXPECT_GE(cases, 300);
+    EXPECT_GE(wide_cases, 30);
     EXPECT_EQ(disagreements, 0);
 }
 

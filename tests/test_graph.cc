@@ -61,13 +61,20 @@ TEST(Variants, CanonicalizeSetDropsOverlapsAndSorts)
         {"chr1", 5, ".", "A", "G"},     // SNP, sorts first
         {"chr2", 7, ".", "A", "T"},     // other chromosome: ignored
         {"chr1", 8, ".", "T", "T"},     // no-op: dropped
+        {"chr1", 1, ".", "A", "GA"},    // insertion before base 0
+        {"chr1", 1, ".", "A", "TA"},    // same point: dropped
     };
     uint64_t dropped = 0;
     const auto kept = canonicalizeSet(records, "chr1", 100, &dropped);
-    ASSERT_EQ(kept.size(), 2u);
-    EXPECT_EQ(kept[0].pos, 4u);
-    EXPECT_EQ(kept[1].pos, 20u);
-    EXPECT_EQ(dropped, 2u);
+    ASSERT_EQ(kept.size(), 3u);
+    EXPECT_EQ(kept[0].pos, 0u);
+    EXPECT_EQ(kept[0].alt, "G");
+    EXPECT_EQ(kept[1].pos, 4u);
+    EXPECT_EQ(kept[2].pos, 20u);
+    EXPECT_EQ(dropped, 3u);
+    // The kept set builds: no two insertions share a point.
+    const GenomeGraph graph = buildGraph(std::string(100, 'A'), kept);
+    EXPECT_TRUE(graph.isTopologicallySorted());
 }
 
 TEST(Variants, VcfRoundTripThroughCanonicalForm)

@@ -86,6 +86,34 @@ TEST(Vcf, ParsesAndExpandsMultiAllelic)
     EXPECT_EQ(records[2].alt, "ACT");
 }
 
+TEST(Vcf, SkipsAltAllelesWithoutSequence)
+{
+    // Symbolic alleles, breakends, '*' and '.' carry no sequence to
+    // splice in; normalizing them would splice poly-A into the graph.
+    std::istringstream in(
+        "chr1\t5\t.\tA\tG,<NON_REF>\t.\t.\t.\n"
+        "chr1\t7\t.\tAC\t<DEL>\t.\t.\t.\n"
+        "chr1\t8\t.\tC\t*\t.\t.\t.\n"
+        "chr1\t9\t.\tG\t.\t.\t.\t.\n"
+        "chr1\t10\t.\tG\tG[chr2:100[\t.\t.\t.\n"
+        "chr1\t11\t.\tN\tG\t.\t.\t.\n");
+    const auto records = readVcf(in);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].pos, 5u);
+    EXPECT_EQ(records[0].ref, "A");
+    EXPECT_EQ(records[0].alt, "G");
+    // N in REF normalizes to A.
+    EXPECT_EQ(records[1].pos, 11u);
+    EXPECT_EQ(records[1].ref, "A");
+    EXPECT_EQ(records[1].alt, "G");
+
+    // Empty ALT fields still raise.
+    std::istringstream empty_alt("chr1\t5\t.\tA\tG,,T\t.\t.\t.\n");
+    EXPECT_THROW(readVcf(empty_alt), InputError);
+    std::istringstream empty_column("chr1\t5\t.\tA\t\t.\t.\t.\n");
+    EXPECT_THROW(readVcf(empty_column), InputError);
+}
+
 TEST(Vcf, RoundTrip)
 {
     const std::vector<VcfRecord> records = {

@@ -1,15 +1,17 @@
 /**
  * @file
- * Scalar-vs-SIMD equivalence tests for the bitops kernel layer.
+ * Equivalence tests for the bitops kernel layer.
  *
- * Every primitive in KernelOps is pure integer bit manipulation, so
- * every backend must agree bit-for-bit on every input — this is the
- * property that lets the mapper swap kernels without changing a single
- * PAF byte. The fuzz loops sweep widths 1..512 bits (covering every
- * word-boundary edge and every vector-tail length), random payloads,
- * the documented dst==src aliasing cases, and the fused ops against
- * their composed definitions. The suite runs under the sanitizer CI
- * job, so out-of-bounds vector tails or unaligned-load UB fail loudly.
+ * Every primitive is pure integer bit manipulation, so every backend
+ * must agree bit-for-bit on every input — this is the property that
+ * lets the mapper swap kernels without changing a single PAF byte. The
+ * lane-batched KernelOps entries are checked against the scalar table
+ * and, lane by lane, against the bitvector.h free functions (the one
+ * scalar copy of the per-window primitives); the fused free functions
+ * are checked against their composed definitions. The fuzz loops cover
+ * word-boundary edges, random payloads and the documented dst==src
+ * aliasing cases. The suite runs under the sanitizer CI job, so
+ * out-of-bounds vector tails or unaligned-load UB fail loudly.
  */
 
 #include <gtest/gtest.h>
@@ -40,17 +42,6 @@ randomWords(Rng &rng, int nwords)
     for (auto &word : words)
         word = rng.nextU64();
     return words;
-}
-
-/** All widths 1..512 plus the explicit edge list (deduplicated by the
- *  sweep being a superset — the list documents intent). */
-std::vector<int>
-allWidths()
-{
-    std::vector<int> widths;
-    for (int w = 1; w <= 512; ++w)
-        widths.push_back(w);
-    return widths;
 }
 
 struct Backend
@@ -84,87 +75,11 @@ TEST(SimdKernels, DispatchIsConsistent)
     }
 }
 
-TEST(SimdKernels, AllPrimitivesMatchScalarOnAllWidths)
-{
-    Rng rng(0x5eeded);
-    const auto &scalar = bitops::scalarKernels();
-    for (const Backend &backend : backends()) {
-        for (const int width : allWidths()) {
-            const int nwords = bitops::wordsForWidth(width);
-            const auto src = randomWords(rng, nwords);
-            const auto mask = randomWords(rng, nwords);
-            const auto init = randomWords(rng, nwords);
-
-            const auto check = [&](const char *op, auto &&run) {
-                std::vector<uint64_t> want = init;
-                std::vector<uint64_t> got = init;
-                run(scalar, want.data());
-                run(*backend.ops, got.data());
-                ASSERT_EQ(want, got)
-                    << op << " diverged on backend " << backend.name
-                    << " at width " << width;
-            };
-            check("shiftLeftOne",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.shiftLeftOne(dst, src.data(), nwords);
-                  });
-            check("andInPlace",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.andInPlace(dst, src.data(), nwords);
-                  });
-            check("shiftLeftOneOr",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.shiftLeftOneOr(dst, src.data(), mask.data(),
-                                       nwords);
-                  });
-            check("shiftLeftOneOrAnd",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.shiftLeftOneOrAnd(dst, src.data(), mask.data(),
-                                          nwords);
-                  });
-            check("andShiftAnd",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.andShiftAnd(dst, src.data(), nwords);
-                  });
-            check("fillOnes",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.fillOnes(dst, nwords);
-                  });
-        }
-    }
-}
-
-TEST(SimdKernels, FusedCellMatchesScalarOnAllWidths)
-{
-    Rng rng(0xce11);
-    const auto &scalar = bitops::scalarKernels();
-    for (const Backend &backend : backends()) {
-        for (const int width : allWidths()) {
-            const int nwords = bitops::wordsForWidth(width);
-            const auto ins = randomWords(rng, nwords);
-            const auto ds = randomWords(rng, nwords);
-            const auto match = randomWords(rng, nwords);
-            const auto pm = randomWords(rng, nwords);
-            std::vector<uint64_t> want(static_cast<size_t>(nwords));
-            std::vector<uint64_t> got(static_cast<size_t>(nwords));
-            scalar.fusedCell(want.data(), ins.data(), ds.data(),
-                             match.data(), pm.data(), nwords);
-            backend.ops->fusedCell(got.data(), ins.data(), ds.data(),
-                                   match.data(), pm.data(), nwords);
-            ASSERT_EQ(want, got) << "fusedCell diverged on backend "
-                                 << backend.name << " at width "
-                                 << width;
-        }
-    }
-}
-
 TEST(SimdKernels, FusedOpsMatchComposedDefinitions)
 {
-    // The fused ops are defined in terms of the simple primitives;
-    // verify the definitions hold (on the scalar table — the previous
-    // tests extend the property to every backend transitively).
+    // The fused free functions are defined in terms of the simple
+    // ones; verify the definitions hold at every edge width.
     Rng rng(0xf05ed);
-    const auto &k = bitops::scalarKernels();
     for (const int width : kEdgeWidths) {
         const int nwords = bitops::wordsForWidth(width);
         const auto src = randomWords(rng, nwords);
@@ -174,129 +89,79 @@ TEST(SimdKernels, FusedOpsMatchComposedDefinitions)
 
         // shiftLeftOneOrAnd == shiftLeftOneOr into tmp, then AND.
         std::vector<uint64_t> composed = init;
-        k.shiftLeftOneOr(tmp.data(), src.data(), mask.data(), nwords);
-        k.andInPlace(composed.data(), tmp.data(), nwords);
+        bitops::shiftLeftOneOr(tmp.data(), src.data(), mask.data(),
+                               nwords);
+        bitops::andInPlace(composed.data(), tmp.data(), nwords);
         std::vector<uint64_t> fused = init;
-        k.shiftLeftOneOrAnd(fused.data(), src.data(), mask.data(),
-                            nwords);
+        bitops::shiftLeftOneOrAnd(fused.data(), src.data(), mask.data(),
+                                  nwords);
         EXPECT_EQ(composed, fused) << "shiftLeftOneOrAnd, width "
                                    << width;
 
         // andShiftAnd == AND src, then AND (src << 1).
         composed = init;
-        k.andInPlace(composed.data(), src.data(), nwords);
-        k.shiftLeftOne(tmp.data(), src.data(), nwords);
-        k.andInPlace(composed.data(), tmp.data(), nwords);
+        bitops::andInPlace(composed.data(), src.data(), nwords);
+        bitops::shiftLeftOne(tmp.data(), src.data(), nwords);
+        bitops::andInPlace(composed.data(), tmp.data(), nwords);
         fused = init;
-        k.andShiftAnd(fused.data(), src.data(), nwords);
+        bitops::andShiftAnd(fused.data(), src.data(), nwords);
         EXPECT_EQ(composed, fused) << "andShiftAnd, width " << width;
 
         // fusedCell == I & D & S & M built from the simple ops.
         const auto ds = randomWords(rng, nwords);
         const auto match = randomWords(rng, nwords);
-        k.shiftLeftOne(composed.data(), init.data(), nwords); // I
-        k.andInPlace(composed.data(), ds.data(), nwords);     // & D
-        k.andShiftAnd(composed.data(), ds.data(), nwords);    // & S (&D)
-        k.shiftLeftOneOrAnd(composed.data(), match.data(), mask.data(),
-                            nwords);                          // & M
+        bitops::shiftLeftOne(composed.data(), init.data(), nwords); // I
+        bitops::andInPlace(composed.data(), ds.data(), nwords);     // & D
+        bitops::andShiftAnd(composed.data(), ds.data(), nwords); // & S
+        bitops::shiftLeftOneOrAnd(composed.data(), match.data(),
+                                  mask.data(), nwords); // & M
         fused.resize(static_cast<size_t>(nwords));
-        k.fusedCell(fused.data(), init.data(), ds.data(), match.data(),
-                    mask.data(), nwords);
+        bitops::fusedCell(fused.data(), init.data(), ds.data(),
+                          match.data(), mask.data(), nwords);
         EXPECT_EQ(composed, fused) << "fusedCell, width " << width;
     }
 }
 
-TEST(SimdKernels, FixedWidthTemplatesMatchDispatchedTable)
-{
-    Rng rng(0xf1f1);
-    const auto &k = bitops::scalarKernels();
-    const auto run = [&](auto nwords_tag) {
-        constexpr int NW = decltype(nwords_tag)::value;
-        const auto src = randomWords(rng, NW);
-        const auto mask = randomWords(rng, NW);
-        const auto ds = randomWords(rng, NW);
-        const auto match = randomWords(rng, NW);
-        const auto init = randomWords(rng, NW);
-
-        std::vector<uint64_t> want = init;
-        std::vector<uint64_t> got = init;
-        k.shiftLeftOne(want.data(), src.data(), NW);
-        bitops::fixed::shiftLeftOne<NW>(got.data(), src.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOne<" << NW << ">";
-
-        want = init;
-        got = init;
-        k.shiftLeftOneOr(want.data(), src.data(), mask.data(), NW);
-        bitops::fixed::shiftLeftOneOr<NW>(got.data(), src.data(),
-                                          mask.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOneOr<" << NW << ">";
-
-        want = init;
-        got = init;
-        k.shiftLeftOneOrAnd(want.data(), src.data(), mask.data(), NW);
-        bitops::fixed::shiftLeftOneOrAnd<NW>(got.data(), src.data(),
-                                             mask.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOneOrAnd<" << NW
-                             << ">";
-
-        want = init;
-        got = init;
-        k.andShiftAnd(want.data(), src.data(), NW);
-        bitops::fixed::andShiftAnd<NW>(got.data(), src.data());
-        EXPECT_EQ(want, got) << "fixed::andShiftAnd<" << NW << ">";
-
-        k.fusedCell(want.data(), init.data(), ds.data(), match.data(),
-                    mask.data(), NW);
-        bitops::fixed::fusedCell<NW>(got.data(), init.data(), ds.data(),
-                                     match.data(), mask.data());
-        EXPECT_EQ(want, got) << "fixed::fusedCell<" << NW << ">";
-    };
-    run(std::integral_constant<int, 1>{});
-    run(std::integral_constant<int, 2>{});
-    run(std::integral_constant<int, 3>{});
-    run(std::integral_constant<int, 8>{});
-}
-
 TEST(SimdKernels, ShiftingOpsAllowFullDstSrcAliasing)
 {
-    // The documented contract: dst == src (full overlap) is legal for
-    // the in-place and shifting ops on every backend.
+    // The documented contract of the free functions: dst == src (full
+    // overlap) is legal for the in-place and shifting ops.
     Rng rng(0xa11a5);
-    for (const Backend &backend : backends()) {
-        for (const int width : kEdgeWidths) {
-            const int nwords = bitops::wordsForWidth(width);
-            const auto src = randomWords(rng, nwords);
-            const auto mask = randomWords(rng, nwords);
+    for (const int width : kEdgeWidths) {
+        const int nwords = bitops::wordsForWidth(width);
+        const auto src = randomWords(rng, nwords);
+        const auto mask = randomWords(rng, nwords);
 
-            std::vector<uint64_t> want(static_cast<size_t>(nwords));
-            bitops::scalarKernels().shiftLeftOne(want.data(), src.data(),
-                                                 nwords);
-            std::vector<uint64_t> aliased = src;
-            backend.ops->shiftLeftOne(aliased.data(), aliased.data(),
-                                      nwords);
-            ASSERT_EQ(want, aliased)
-                << "aliased shiftLeftOne, backend " << backend.name
-                << ", width " << width;
+        std::vector<uint64_t> want(static_cast<size_t>(nwords));
+        bitops::shiftLeftOne(want.data(), src.data(), nwords);
+        std::vector<uint64_t> aliased = src;
+        bitops::shiftLeftOne(aliased.data(), aliased.data(), nwords);
+        ASSERT_EQ(want, aliased) << "aliased shiftLeftOne, width "
+                                 << width;
 
-            bitops::scalarKernels().shiftLeftOneOr(
-                want.data(), src.data(), mask.data(), nwords);
-            aliased = src;
-            backend.ops->shiftLeftOneOr(aliased.data(), aliased.data(),
-                                        mask.data(), nwords);
-            ASSERT_EQ(want, aliased)
-                << "aliased shiftLeftOneOr, backend " << backend.name
-                << ", width " << width;
+        bitops::shiftLeftOneOr(want.data(), src.data(), mask.data(),
+                               nwords);
+        aliased = src;
+        bitops::shiftLeftOneOr(aliased.data(), aliased.data(),
+                               mask.data(), nwords);
+        ASSERT_EQ(want, aliased) << "aliased shiftLeftOneOr, width "
+                                 << width;
 
-            std::vector<uint64_t> expect = src;
-            bitops::scalarKernels().andShiftAnd(expect.data(),
-                                                src.data(), nwords);
-            aliased = src;
-            backend.ops->andShiftAnd(aliased.data(), aliased.data(),
-                                     nwords);
-            ASSERT_EQ(expect, aliased)
-                << "aliased andShiftAnd, backend " << backend.name
-                << ", width " << width;
-        }
+        want = src;
+        bitops::shiftLeftOneOrAnd(want.data(), src.data(), mask.data(),
+                                  nwords);
+        aliased = src;
+        bitops::shiftLeftOneOrAnd(aliased.data(), aliased.data(),
+                                  mask.data(), nwords);
+        ASSERT_EQ(want, aliased) << "aliased shiftLeftOneOrAnd, width "
+                                 << width;
+
+        want = src;
+        bitops::andShiftAnd(want.data(), src.data(), nwords);
+        aliased = src;
+        bitops::andShiftAnd(aliased.data(), aliased.data(), nwords);
+        ASSERT_EQ(want, aliased) << "aliased andShiftAnd, width "
+                                 << width;
     }
 }
 
@@ -378,10 +243,9 @@ TEST(BatchKernels, BatchColumnMatchesScalarAcrossLevels)
 TEST(BatchKernels, BatchOpsEqualDeinterleavedPerWindowOps)
 {
     // The lane-independence contract: each lane of a batched sweep
-    // equals the single-window scalar op run on that lane's extracted
-    // vectors — carries never cross lanes.
+    // equals the single-window free function run on that lane's
+    // extracted vectors — carries never cross lanes.
     Rng rng(0xde1a7e);
-    const auto &scalar = bitops::scalarKernels();
     constexpr int kLanes = bitops::kBatchLanes;
     for (const Backend &backend : backends()) {
         for (int nwords = 1; nwords <= 8; ++nwords) {
@@ -405,13 +269,13 @@ TEST(BatchKernels, BatchOpsEqualDeinterleavedPerWindowOps)
                 const auto lpm = deinterleave(pm, nwords, w);
                 std::vector<uint64_t> want(
                     static_cast<size_t>(nwords));
-                scalar.shiftLeftOneOr(want.data(), lins.data(),
-                                      lpm.data(), nwords);
+                bitops::shiftLeftOneOr(want.data(), lins.data(),
+                                       lpm.data(), nwords);
                 ASSERT_EQ(want, deinterleave(shifted, nwords, w))
                     << "batchShiftLeftOneOr lane " << w << ", backend "
                     << backend.name << ", nwords " << nwords;
-                scalar.fusedCell(want.data(), lins.data(), lds.data(),
-                                 lmatch.data(), lpm.data(), nwords);
+                bitops::fusedCell(want.data(), lins.data(), lds.data(),
+                                  lmatch.data(), lpm.data(), nwords);
                 ASSERT_EQ(want, deinterleave(fused, nwords, w))
                     << "batchFusedCell lane " << w << ", backend "
                     << backend.name << ", nwords " << nwords;
@@ -424,7 +288,8 @@ TEST(BatchKernels, BatchShiftLeftOneOrAllowsFullDstSrcAliasing)
 {
     // The stream sweep writes each column over its own source row when
     // the scheduler reuses a retired lane's storage; the documented
-    // contract is full dst == src overlap, same as shiftLeftOneOr.
+    // contract is full dst == src overlap, same as
+    // bitops::shiftLeftOneOr.
     Rng rng(0xa11b);
     constexpr int kLanes = bitops::kBatchLanes;
     for (const Backend &backend : backends()) {
