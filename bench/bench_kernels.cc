@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark microbenchmarks of the computational kernels: the
  * lane-batched BitAlign column (scalar vs the SIMD backend), the
- * minimizer sketch, index queries, BitAlign window execution (graph
+ * minimizer sketch, MinSeed seeding, BitAlign window execution (graph
  * and chain), GenASM, Myers, and the DP oracle. These are the
  * building-block costs behind every end-to-end number in the other
  * benches.
@@ -30,6 +30,7 @@
 #include "src/index/minimizer_index.h"
 #include "src/seed/chaining.h"
 #include "src/seed/minimizer.h"
+#include "src/seed/minseed.h"
 #include "src/sim/dataset.h"
 #include "src/util/bitops_simd.h"
 #include "src/util/rng.h"
@@ -138,33 +139,85 @@ donorRead(size_t start, size_t len)
     return dataset().donor.seq().substr(start, len);
 }
 
+/**
+ * The sketch over 64 distinct donor reads of range(0) bases, in turn:
+ * one read repeated would let the branch predictor learn its k-mer
+ * order, which no real read stream allows.
+ */
 void
 BM_MinimizerSketch(benchmark::State &state)
 {
-    const std::string read = donorRead(1'000, state.range(0));
+    const auto len = static_cast<size_t>(state.range(0));
+    constexpr size_t kReads = 64;
+    std::vector<std::string> reads;
+    for (size_t i = 0; i < kReads; ++i)
+        reads.push_back(donorRead(1'000 + i * 2'000, len));
     const seed::SketchConfig config{15, 10};
+    std::vector<seed::Minimizer> minimizers;
+    seed::MinimizerScratch scratch;
+    size_t next = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(seed::computeMinimizers(read, config));
+        seed::computeMinimizers(reads[next], config, minimizers, scratch);
+        benchmark::DoNotOptimize(minimizers.data());
+        next = next + 1 == kReads ? 0 : next + 1;
     }
-    state.SetBytesProcessed(state.iterations() * read.size());
+    state.SetBytesProcessed(state.iterations() * len);
+    state.counters["per_base"] = benchmark::Counter(
+        static_cast<double>(len),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MinimizerSketch)->Arg(150)->Arg(1'000)->Arg(10'000);
 
-void
-BM_IndexQuery(benchmark::State &state)
+/**
+ * A 4 Mbp graph indexed like `segram index` (bucketBits 16), so the
+ * three index levels span ~18 MB and a read's searches miss the
+ * private caches, as they do on the mapping path. No repeats, like the
+ * bench_e2e short_reads genome: about one seed per minimizer.
+ */
+const sim::Dataset &
+largeDataset()
 {
-    const auto &data = dataset();
-    const std::string read = donorRead(5'000, 1'000);
-    const auto minimizers =
-        seed::computeMinimizers(read, data.index.sketch());
-    size_t idx = 0;
-    for (auto _ : state) {
-        const auto &minimizer = minimizers[idx++ % minimizers.size()];
-        benchmark::DoNotOptimize(data.index.frequency(minimizer.hash));
-        benchmark::DoNotOptimize(data.index.locations(minimizer.hash));
-    }
+    static const sim::Dataset instance = [] {
+        sim::DatasetConfig config;
+        config.genome.length = 4'000'000;
+        config.genome.repeatFraction = 0.0;
+        config.index.sketch = {15, 10};
+        config.index.bucketBits = 16;
+        config.seed = 2022;
+        return sim::makeDataset(config);
+    }();
+    return instance;
 }
-BENCHMARK(BM_IndexQuery);
+
+/**
+ * MinSeed::seedRead (sketch, index search, region conversion) cycling
+ * over 512 distinct reads of range(0) bases spread over the 4 Mbp
+ * donor, so successive reads touch unrelated index lines.
+ */
+void
+BM_SeedRead(benchmark::State &state)
+{
+    const auto &data = largeDataset();
+    const auto len = static_cast<size_t>(state.range(0));
+    const std::string &donor = data.donor.seq();
+    constexpr size_t kReads = 512;
+    const size_t stride = (donor.size() - len) / kReads;
+    std::vector<std::string> reads;
+    for (size_t i = 0; i < kReads; ++i)
+        reads.push_back(donor.substr(i * stride, len));
+    const seed::MinSeed minseed(data.graph, data.index);
+    std::vector<seed::CandidateRegion> regions;
+    seed::SeedScratch scratch;
+    size_t next = 0;
+    for (auto _ : state) {
+        minseed.seedRead(reads[next], regions, scratch);
+        benchmark::DoNotOptimize(regions.data());
+        next = next + 1 == kReads ? 0 : next + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SeedRead)->Arg(150)->Arg(5'000);
 
 void
 BM_BitAlignWindowGraph(benchmark::State &state)

@@ -16,6 +16,7 @@
  * `--quick` shrinks the sweep for sanitizer CI runs.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -69,7 +70,8 @@ equivalent(const core::PreprocessedReference &built,
     const auto minimizers =
         seed::computeMinimizers(bg.nodeSeq(0), bi.sketch());
     for (const auto &minimizer : minimizers) {
-        if (bi.frequency(minimizer.hash) != li.frequency(minimizer.hash))
+        if (!std::ranges::equal(bi.locations(minimizer.hash),
+                                li.locations(minimizer.hash)))
             return false;
     }
     return true;

@@ -24,10 +24,10 @@ collectHits(const graph::GenomeGraph &graph,
         seed::computeMinimizers(read, index.sketch());
     const uint32_t threshold = index.frequencyThreshold();
     for (const auto &minimizer : minimizers) {
-        const uint32_t freq = index.frequency(minimizer.hash);
-        if (freq == 0 || freq > threshold)
+        const auto locations = index.locations(minimizer.hash);
+        if (locations.empty() || locations.size() > threshold)
             continue;
-        for (const auto &loc : index.locations(minimizer.hash)) {
+        for (const auto &loc : locations) {
             const uint64_t ref_pos =
                 graph.node(loc.node).linearOffset + loc.offset;
             hits.push_back({ref_pos, minimizer.pos});

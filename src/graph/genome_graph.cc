@@ -14,8 +14,16 @@ namespace segram::graph
 std::string
 GenomeGraph::nodeSeq(NodeId id) const
 {
+    std::string out;
+    nodeSeq(id, out);
+    return out;
+}
+
+void
+GenomeGraph::nodeSeq(NodeId id, std::string &out) const
+{
     const NodeRecord &record = nodes_[id];
-    return chars_.substr(record.seqStart, record.seqLen);
+    chars_.substr(record.seqStart, record.seqLen, out);
 }
 
 uint8_t

@@ -88,6 +88,12 @@ class GenomeGraph
     /** @return The sequence of node @p id as an ACGT string. */
     std::string nodeSeq(NodeId id) const;
 
+    /**
+     * Buffer-reuse variant: writes the sequence of node @p id into
+     * @p out (cleared first, capacity retained across calls).
+     */
+    void nodeSeq(NodeId id, std::string &out) const;
+
     /** @return 2-bit code of character @p offset within node @p id. */
     uint8_t charAt(NodeId id, uint32_t offset) const;
 

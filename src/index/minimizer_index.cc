@@ -1,6 +1,7 @@
 #include "src/index/minimizer_index.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/util/check.h"
 
@@ -21,9 +22,13 @@ std::vector<RawHit>
 collectHits(const graph::GenomeGraph &graph, const seed::SketchConfig &sketch)
 {
     std::vector<RawHit> hits;
+    std::string seq;
+    std::vector<seed::Minimizer> minimizers;
+    seed::MinimizerScratch scratch;
     for (graph::NodeId id = 0; id < graph.numNodes(); ++id) {
-        const std::string seq = graph.nodeSeq(id);
-        for (const auto &minimizer : seed::computeMinimizers(seq, sketch))
+        graph.nodeSeq(id, seq);
+        seed::computeMinimizers(seq, sketch, minimizers, scratch);
+        for (const auto &minimizer : minimizers)
             hits.push_back({minimizer.hash, {id, minimizer.pos}});
     }
     return hits;
@@ -134,36 +139,72 @@ MinimizerIndex::build(const graph::GenomeGraph &graph,
     return out;
 }
 
-const MinimizerEntry *
-MinimizerIndex::find(uint64_t hash) const
+std::span<const SeedLocation>
+MinimizerIndex::searchRun(uint32_t first, uint32_t last, uint64_t hash) const
 {
-    const uint64_t bucket = bucketOf(hash);
-    const auto begin = minimizers_.begin() + bucket_offsets_[bucket];
-    const auto end = minimizers_.begin() + bucket_offsets_[bucket + 1];
+    const auto begin = minimizers_.begin() + first;
+    const auto end = minimizers_.begin() + last;
     const auto it = std::lower_bound(
         begin, end, hash,
         [](const MinimizerEntry &entry, uint64_t value) {
             return entry.hash < value;
         });
     if (it == end || it->hash != hash)
-        return nullptr;
-    return &*it;
-}
-
-uint32_t
-MinimizerIndex::frequency(uint64_t hash) const
-{
-    const MinimizerEntry *entry = find(hash);
-    return entry == nullptr ? 0 : entry->locCount;
+        return {};
+    return {locations_.data() + it->locStart, it->locCount};
 }
 
 std::span<const SeedLocation>
 MinimizerIndex::locations(uint64_t hash) const
 {
-    const MinimizerEntry *entry = find(hash);
-    if (entry == nullptr)
-        return {};
-    return {locations_.data() + entry->locStart, entry->locCount};
+    const uint64_t bucket = bucketOf(hash);
+    return searchRun(bucket_offsets_[bucket], bucket_offsets_[bucket + 1],
+                     hash);
+}
+
+void
+MinimizerIndex::lookup(std::span<const seed::Minimizer> minimizers,
+                       std::span<std::span<const SeedLocation>> out) const
+{
+    SEGRAM_DCHECK(out.size() >= minimizers.size(),
+                  "lookup output shorter than its minimizer list");
+    // A level-2 run longer than this many lines is searched without
+    // prefetching its tail (only tiny bucket counts produce one).
+    constexpr size_t kMaxRunLines = 4;
+    constexpr size_t kLine = 64;
+    const auto prefetch = [](const void *addr) {
+        __builtin_prefetch(addr, 0, 3);
+    };
+    std::array<uint32_t, kLookupGroup> first{};
+    std::array<uint32_t, kLookupGroup> last{};
+    for (size_t base = 0; base < minimizers.size(); base += kLookupGroup) {
+        const size_t group = std::min(kLookupGroup, minimizers.size() - base);
+        const auto hashOf = [&](size_t i) {
+            return minimizers[base + i].hash;
+        };
+        // Stage 1: the level-1 offsets of every bucket in the group.
+        for (size_t i = 0; i < group; ++i)
+            prefetch(bucket_offsets_.data() + bucketOf(hashOf(i)));
+        // Stage 2: read the offsets; fetch the lines of each level-2 run.
+        for (size_t i = 0; i < group; ++i) {
+            const uint64_t bucket = bucketOf(hashOf(i));
+            first[i] = bucket_offsets_[bucket];
+            last[i] = bucket_offsets_[bucket + 1];
+            const auto *run = reinterpret_cast<const char *>(
+                minimizers_.data() + first[i]);
+            const size_t bytes = std::min<size_t>(
+                size_t{last[i] - first[i]} * sizeof(MinimizerEntry),
+                kMaxRunLines * kLine);
+            for (size_t offset = 0; offset < bytes; offset += kLine)
+                prefetch(run + offset);
+        }
+        // Stage 3: search each run; fetch the head of each level-3 span.
+        for (size_t i = 0; i < group; ++i) {
+            out[base + i] = searchRun(first[i], last[i], hashOf(i));
+            if (!out[base + i].empty())
+                prefetch(out[base + i].data());
+        }
+    }
 }
 
 OccurrenceReport

@@ -148,17 +148,31 @@ class MinimizerIndex
                                 const IndexConfig &config);
 
     /**
-     * @return Occurrence count of minimizer @p hash (0 when absent).
-     *         This is MinSeed's first query ("fetches its occurrence
-     *         frequency from the hash table", step 3 of Fig. 4).
-     */
-    uint32_t frequency(uint64_t hash) const;
-
-    /**
-     * @return The seed locations of @p hash (MinSeed step 5). Empty when
-     *         the minimizer is absent.
+     * @return The seed locations of @p hash, empty when the minimizer is
+     *         absent. Its size() is the occurrence frequency, so one
+     *         search answers both MinSeed queries: the frequency filter
+     *         (step 3 of Fig. 4) and the location fetch (step 5).
      */
     std::span<const SeedLocation> locations(uint64_t hash) const;
+
+    /**
+     * Batched locations(): sets @p out[i] to the seed locations of
+     * @p minimizers[i].hash. The search walks kLookupGroup minimizers at
+     * a time in three stages (bucket offsets, level-2 runs, level-3
+     * spans) and prefetches each stage's cache lines one stage ahead,
+     * so the misses of a whole group overlap instead of forming one
+     * serial chain per minimizer. @p out must hold at least
+     * minimizers.size() entries.
+     */
+    void lookup(std::span<const seed::Minimizer> minimizers,
+                std::span<std::span<const SeedLocation>> out) const;
+
+    /**
+     * Minimizers whose searches overlap in lookup(). Measured with
+     * MinSeed on a 4 Mbp index: groups of 8 to 32 seed a 150 bp read
+     * in ~25% less time than a group of 1, and alike within noise.
+     */
+    static constexpr size_t kLookupGroup = 16;
 
     /**
      * The occurrence-count threshold above which MinSeed discards a
@@ -188,8 +202,13 @@ class MinimizerIndex
   private:
     friend class segram::io::PackCodec;
 
-    /** @return Level-2 entry for @p hash, or nullptr. */
-    const MinimizerEntry *find(uint64_t hash) const;
+    /**
+     * @return The level-3 locations of @p hash, searched for in the
+     *         level-2 run [@p first, @p last) of its bucket; empty when
+     *         absent.
+     */
+    std::span<const SeedLocation> searchRun(uint32_t first, uint32_t last,
+                                            uint64_t hash) const;
 
     uint64_t bucketOf(uint64_t hash) const;
 

@@ -8,8 +8,12 @@
  * poly-A bias. Two sequences sharing an exact match of at least w+k-1
  * bases are guaranteed to share a minimizer.
  *
- * computeMinimizers() is the O(m) single-loop algorithm the MinSeed
- * accelerator implements (monotone wedge over the window);
+ * computeMinimizers() is the O(m) single pass of Section 6. In software
+ * it takes the window minima with van Herk/Gil-Werman blocks: the k-mers
+ * are cut into blocks of w, and every window is the suffix of one block
+ * joined to the prefix of the next, so each base costs one hash and a
+ * few branch-free minimum selections. (src/hw models the accelerator's
+ * sketch as one base per cycle, independent of this formulation.)
  * computeMinimizersNaive() is the quadratic textbook version kept as the
  * property-test reference.
  */
@@ -48,11 +52,19 @@ struct SketchConfig
     }
 };
 
-/** Reusable working storage for computeMinimizers (buffer reuse). */
+/**
+ * Reusable working storage for computeMinimizers (buffer reuse): two
+ * blocks of w k-mers, so it stays O(w) whatever the sequence length.
+ */
 struct MinimizerScratch
 {
-    /** Monotone-wedge backing store (head index advances in place). */
-    std::vector<Minimizer> wedge;
+    /** The k-mer hashes of the block being scanned. */
+    std::vector<uint64_t> blockHash;
+    /**
+     * Suffix minima of the previous block (entry i: the leftmost
+     * smallest of its k-mers i..w-1), plus one sentinel at index w.
+     */
+    std::vector<Minimizer> suffixMin;
 };
 
 /**
@@ -60,17 +72,19 @@ struct MinimizerScratch
  *
  * Each window's minimum-hash k-mer is selected (leftmost on ties);
  * consecutive windows sharing a selection report it once. Sequences
- * shorter than w+k-1 bases produce no minimizers.
+ * shorter than w+k-1 bases produce no minimizers (and are not checked
+ * for non-ACGT characters).
  *
- * @throws InputError if k is out of (0, 31] or w < 1.
+ * @throws InputError if k is out of (0, 31] or w < 1, or if @p seq
+ *         holds a non-ACGT character.
  */
 std::vector<Minimizer> computeMinimizers(std::string_view seq,
                                          const SketchConfig &config);
 
 /**
- * Buffer-reuse variant: clears @p out and fills it in place; the wedge
- * lives in @p scratch. Zero heap allocations once the buffers are warm;
- * identical output to the returning overload.
+ * Buffer-reuse variant: clears @p out and fills it in place; the block
+ * minima live in @p scratch. Zero heap allocations once the buffers are
+ * warm; identical output to the returning overload.
  */
 void computeMinimizers(std::string_view seq, const SketchConfig &config,
                        std::vector<Minimizer> &out,

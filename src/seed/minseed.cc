@@ -49,12 +49,19 @@ MinSeed::seedRead(std::string_view read, std::vector<CandidateRegion> &regions,
     computeMinimizers(read, sketch, scratch.minimizers, scratch.sketch);
     const std::vector<Minimizer> &minimizers = scratch.minimizers;
     local.minimizersComputed = minimizers.size();
+    // One batched search answers steps 3 and 5 of Fig. 4 for the whole
+    // read: a span's size is the frequency, its elements the locations.
+    scratch.locations.resize(minimizers.size());
+    index_.lookup(minimizers, scratch.locations);
 
     const uint32_t cap = config_.maxOccurrences;
 
-    for (const auto &minimizer : minimizers) {
-        // Step 3-4 of Fig. 4: frequency lookup + threshold filter.
-        const uint32_t freq = index_.frequency(minimizer.hash);
+    for (size_t i = 0; i < minimizers.size(); ++i) {
+        const Minimizer &minimizer = minimizers[i];
+        const std::span<const index::SeedLocation> locations =
+            scratch.locations[i];
+        // Step 3-4 of Fig. 4: frequency + threshold filter.
+        const auto freq = static_cast<uint32_t>(locations.size());
         local.seedsAvailable += freq;
         if (freq == 0 || freq > threshold)
             continue;
@@ -88,7 +95,6 @@ MinSeed::seedRead(std::string_view read, std::vector<CandidateRegion> &regions,
         // indices cover the whole reference). The sample is a pure
         // function of (list, cap) — deterministic regardless of
         // threading.
-        const auto locations = index_.locations(minimizer.hash);
         if (cap != 0 && freq > cap) {
             ++local.minimizersCapped;
             local.seedsSkippedByCap += freq - cap;

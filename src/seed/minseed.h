@@ -26,6 +26,7 @@
 #define SEGRAM_SRC_SEED_MINSEED_H
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -108,7 +109,9 @@ struct MinSeedStats
 struct SeedScratch
 {
     std::vector<Minimizer> minimizers; ///< per-read minimizer list
-    MinimizerScratch sketch;           ///< wedge storage of the sketcher
+    MinimizerScratch sketch;           ///< block minima of the sketcher
+    /** Seed locations of each minimizer (MinimizerIndex::lookup). */
+    std::vector<std::span<const index::SeedLocation>> locations;
 };
 
 /** The MinSeed stage bound to one graph + index pair. */

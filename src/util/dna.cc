@@ -10,29 +10,9 @@ namespace segram
 namespace
 {
 
-constexpr std::array<uint8_t, 256>
-makeCodeTable()
-{
-    std::array<uint8_t, 256> table{};
-    for (auto &entry : table)
-        entry = kInvalidBaseCode;
-    table['A'] = 0; table['a'] = 0;
-    table['C'] = 1; table['c'] = 1;
-    table['G'] = 2; table['g'] = 2;
-    table['T'] = 3; table['t'] = 3;
-    return table;
-}
-
-constexpr std::array<uint8_t, 256> codeTable = makeCodeTable();
 constexpr std::array<char, 4> baseTable = {'A', 'C', 'G', 'T'};
 
 } // namespace
-
-uint8_t
-baseToCode(char base)
-{
-    return codeTable[static_cast<uint8_t>(base)];
-}
 
 char
 codeToBase(uint8_t code)

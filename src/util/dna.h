@@ -11,6 +11,7 @@
 #ifndef SEGRAM_SRC_UTIL_DNA_H
 #define SEGRAM_SRC_UTIL_DNA_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -25,12 +26,31 @@ constexpr int kDnaAlphabetSize = 4;
 constexpr uint8_t kInvalidBaseCode = 4;
 
 /**
+ * The one character-to-code table: 0..3 for A/C/G/T in either case,
+ * kInvalidBaseCode for every other byte.
+ */
+inline constexpr std::array<uint8_t, 256> kBaseCodeTable = [] {
+    std::array<uint8_t, 256> table{};
+    for (auto &entry : table)
+        entry = kInvalidBaseCode;
+    table['A'] = 0; table['a'] = 0;
+    table['C'] = 1; table['c'] = 1;
+    table['G'] = 2; table['g'] = 2;
+    table['T'] = 3; table['t'] = 3;
+    return table;
+}();
+
+/**
  * Maps a base character to its 2-bit code.
  *
  * @param base An ASCII base; lower case accepted.
  * @return 0..3 for A/C/G/T, kInvalidBaseCode otherwise (including 'N').
  */
-uint8_t baseToCode(char base);
+inline uint8_t
+baseToCode(char base)
+{
+    return kBaseCodeTable[static_cast<uint8_t>(base)];
+}
 
 /**
  * Maps a 2-bit code back to its upper-case base character.

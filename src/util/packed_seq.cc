@@ -52,12 +52,19 @@ PackedSeq::codeAt(size_t idx) const
 std::string
 PackedSeq::substr(size_t start, size_t len) const
 {
-    SEGRAM_DCHECK(start + len <= size_, "substring out of range");
     std::string out;
+    substr(start, len, out);
+    return out;
+}
+
+void
+PackedSeq::substr(size_t start, size_t len, std::string &out) const
+{
+    SEGRAM_DCHECK(start + len <= size_, "substring out of range");
+    out.clear();
     out.reserve(len);
     for (size_t i = start; i < start + len; ++i)
         out.push_back(baseAt(i));
-    return out;
 }
 
 } // namespace segram

@@ -64,6 +64,12 @@ class PackedSeq
     /** @return The sub-sequence [start, start+len) as an ACGT string. */
     std::string substr(size_t start, size_t len) const;
 
+    /**
+     * Buffer-reuse variant: writes the bases [@p start, @p start+@p len)
+     * into @p out (cleared first, capacity retained across calls).
+     */
+    void substr(size_t start, size_t len, std::string &out) const;
+
     /** @return The whole sequence as an ACGT string. */
     std::string toString() const { return substr(0, size_); }
 

@@ -646,4 +646,34 @@ if [ -S "$tmp/sv.sock" ]; then
     echo "FAIL: daemon left its socket file behind"
     exit 1
 fi
+# SIGTERM right after the first PING: the handlers are installed before
+# the server starts answering, so every cycle is a graceful stop.
+for cycle in $(seq 1 20); do
+    "$bin" serve --socket "$tmp/st.sock" ref="$tmp/serve.segram" \
+        2> "$tmp/st.log" &
+    st_pid=$!
+    i=0
+    until "$bin" client --socket "$tmp/st.sock" ping > /dev/null 2>&1; do
+        i=$((i + 1))
+        test "$i" -lt 200 || {
+            echo "FAIL: cycle $cycle daemon never answered PING"
+            cat "$tmp/st.log"
+            exit 1
+        }
+        sleep 0.05
+    done
+    kill -TERM "$st_pid"
+    rc=0
+    wait "$st_pid" || rc=$?
+    test "$rc" -eq 0 || {
+        echo "FAIL: cycle $cycle daemon exited $rc on SIGTERM after PING"
+        cat "$tmp/st.log"
+        exit 1
+    }
+    grep -q "shutting down" "$tmp/st.log" || {
+        echo "FAIL: cycle $cycle no shutdown notice after PING + SIGTERM"
+        cat "$tmp/st.log"
+        exit 1
+    }
+done
 echo "cli serve daemon OK (byte-identical, concurrent clients, reload, graceful stop)"

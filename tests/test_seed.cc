@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <set>
 
@@ -33,21 +34,48 @@ TEST(Minimizer, EmptyWhenSequenceTooShort)
 
 TEST(Minimizer, SingleLoopMatchesNaive)
 {
-    // The load-bearing property: the deque-based O(m) algorithm must
-    // produce exactly the nested-loop definition of Section 6.
+    // The load-bearing property: the block-minimum O(m) algorithm must
+    // produce exactly the nested-loop definition of Section 6. The
+    // parameters cover w = 1, both sides of k = 16 (where a hash stops
+    // fitting 32 bits) and k = 31; the lengths cover w+k-2 (no window),
+    // w+k-1 (exactly one) and random lengths across block boundaries.
     Rng rng(11);
     struct Param { int k; int w; };
     for (const auto &param :
-         {Param{4, 3}, Param{7, 5}, Param{11, 10}, Param{15, 10},
-          Param{21, 11}}) {
+         {Param{1, 1}, Param{4, 3}, Param{7, 5}, Param{11, 10},
+          Param{15, 10}, Param{16, 10}, Param{17, 2}, Param{21, 11},
+          Param{31, 1}, Param{31, 10}}) {
         const SketchConfig config{param.k, param.w};
-        for (int trial = 0; trial < 20; ++trial) {
-            const auto len = static_cast<uint64_t>(
-                param.k + param.w + rng.nextBelow(500));
+        const auto min_len = static_cast<uint64_t>(param.k + param.w - 1);
+        std::vector<uint64_t> lengths = {min_len - 1, min_len};
+        for (int trial = 0; trial < 20; ++trial)
+            lengths.push_back(min_len + 1 + rng.nextBelow(500));
+        for (const uint64_t len : lengths) {
             const std::string seq = sim::randomSequence(len, rng);
-            EXPECT_EQ(computeMinimizers(seq, config),
-                      computeMinimizersNaive(seq, config))
+            const auto got = computeMinimizers(seq, config);
+            EXPECT_EQ(got, computeMinimizersNaive(seq, config))
                 << "k=" << param.k << " w=" << param.w << " len=" << len;
+            if (len < min_len) {
+                EXPECT_TRUE(got.empty());
+            } else if (len == min_len) {
+                EXPECT_EQ(got.size(), 1u);
+            }
+
+            std::string lower = seq;
+            for (char &base : lower)
+                base = static_cast<char>(std::tolower(base));
+            EXPECT_EQ(computeMinimizers(lower, config), got)
+                << "lowercase k=" << param.k << " w=" << param.w;
+
+            if (len < min_len)
+                continue;
+            for (const size_t at : {size_t{0}, seq.size() - 1}) {
+                std::string bad = seq;
+                bad[at] = 'N';
+                EXPECT_THROW(computeMinimizers(bad, config), InputError)
+                    << "N at " << at << " k=" << param.k
+                    << " w=" << param.w;
+            }
         }
     }
 }

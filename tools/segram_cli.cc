@@ -855,6 +855,20 @@ onShutdownSignal(int)
 int
 cmdServe(const ServeOptions &options)
 {
+    // Shutdown self-pipe: the handler only writes a byte; the main
+    // thread does the actual (non-async-signal-safe) teardown. Both
+    // handlers go in before any pack loads and before the server
+    // answers its first PING, so a SIGTERM at any point after start-up
+    // is a graceful stop (a signal during loading waits in the pipe).
+    int pipe_fds[2];
+    if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+        const int saved_errno = errno;
+        throw IoError("pipe2() failed", saved_errno);
+    }
+    g_shutdown_fd = pipe_fds[1];
+    std::signal(SIGTERM, onShutdownSignal);
+    std::signal(SIGINT, onShutdownSignal);
+
     // Same knob derivation as offline `segram map <pack> <reads> [E]`.
     MapOptions map_defaults;
     map_defaults.errorRate = options.errorRate;
@@ -901,16 +915,6 @@ cmdServe(const ServeOptions &options)
                      server_config.tcpHost.c_str(),
                      server.boundTcpPort());
 
-    // Shutdown self-pipe: the handler only writes a byte; the main
-    // thread does the actual (non-async-signal-safe) teardown.
-    int pipe_fds[2];
-    if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
-        const int saved_errno = errno;
-        throw IoError("pipe2() failed", saved_errno);
-    }
-    g_shutdown_fd = pipe_fds[1];
-    std::signal(SIGTERM, onShutdownSignal);
-    std::signal(SIGINT, onShutdownSignal);
 
     char byte = 0;
     while (::read(pipe_fds[0], &byte, 1) < 0 && errno == EINTR) {
