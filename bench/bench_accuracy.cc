@@ -17,7 +17,6 @@
  * `--quick` shrinks read counts for sanitizer CI runs.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -55,15 +54,9 @@ main(int argc, char **argv)
     dataset_config.index.bucketBits = 14;
     const auto dataset = sim::makeDataset(dataset_config);
 
-    const double expected_error = 0.10;
-    core::SegramConfig config;
-    config.minseed.errorRate = expected_error;
-    config.bitalign.windowEditCap = std::max(
-        32, static_cast<int>(config.bitalign.windowLen * expected_error *
-                             3));
-    config.earlyExitFraction = 1.5;
-    config.tryReverseComplement = true;
-    const core::SegramMapper mapper(dataset.graph, dataset.index, config);
+    // The product pipeline at its default expected error rate.
+    const core::SegramMapper mapper(dataset.graph, dataset.index,
+                                    core::SegramConfig::product());
 
     struct ReadSpec
     {

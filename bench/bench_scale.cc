@@ -95,14 +95,8 @@ sameResults(const std::vector<core::MultiMapResult> &lhs,
 core::SegramConfig
 pipelineConfig(uint32_t max_occ)
 {
-    core::SegramConfig config;
-    config.minseed.errorRate = 0.05;
+    core::SegramConfig config = core::SegramConfig::product(0.05);
     config.minseed.maxOccurrences = max_occ;
-    config.bitalign.windowEditCap = std::max(
-        32,
-        static_cast<int>(config.bitalign.windowLen * 0.05 * 3));
-    config.earlyExitFraction = 1.5;
-    config.tryReverseComplement = true;
     // No region bound: every candidate the seeding stage emits is
     // aligned (early exit aside), so the legs differ only in how many
     // candidates the occurrence policy lets through.
@@ -244,9 +238,6 @@ main(int argc, char **argv)
     std::printf("built graphs+indexes and %zu x %u bp reads in %.1f s\n",
                 reads.size(), read_len, prep_sec);
 
-    std::vector<uint64_t> target_lens(reference.numChromosomes());
-    for (size_t c = 0; c < reference.numChromosomes(); ++c)
-        target_lens[c] = reference.graph(c).totalSeqLen();
     const eval::AccuracyEvaluator evaluator(truth, eval::EvalConfig{});
 
     const int map_threads = static_cast<int>(std::min(
@@ -285,19 +276,12 @@ main(int argc, char **argv)
         leg.readsPerSec = static_cast<double>(reads.size()) / leg.sec;
         leg.rssDeltaBytes =
             rss_peak > rss_before ? rss_peak - rss_before : 0;
+        const core::PafFormatter formatter(ref);
         std::vector<io::PafRecord> records;
         for (size_t i = 0; i < leg.results.size(); ++i) {
-            const auto &result = leg.results[i];
-            if (!result.mapped)
-                continue;
-            size_t c = 0;
-            while (reference.name(c) != result.chromosome)
-                ++c;
-            records.push_back(io::makePafRecord(
-                read_names[i], read_seqs[i].size(),
-                result.reverseComplemented ? '-' : '+',
-                result.chromosome, target_lens[c], result.linearStart,
-                result.cigar));
+            if (auto record = formatter.record(
+                    read_names[i], read_seqs[i].size(), leg.results[i]))
+                records.push_back(std::move(*record));
         }
         leg.sensitivity =
             evaluator.evaluate(name, records).overall.sensitivity();

@@ -47,7 +47,6 @@
 #include "bench/bench_util.h"
 #include "src/core/reference.h"
 #include "src/core/sharded_mapper.h"
-#include "src/io/paf.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
@@ -238,18 +237,10 @@ main(int argc, char **argv)
             results = mapper.mapBatch(
                 std::span<const std::string_view>(seqs));
         });
-        for (size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].mapped)
-                continue;
-            io::formatPaf(
-                offline_paf,
-                io::makePafRecord(
-                    reads[i].name, reads[i].seq.size(),
-                    results[i].reverseComplemented ? '-' : '+',
-                    results[i].chromosome,
-                    reference.graph(0).totalSeqLen(),
-                    results[i].linearStart, results[i].cigar));
-        }
+        const core::PafFormatter formatter(reference);
+        for (size_t i = 0; i < results.size(); ++i)
+            formatter.format(offline_paf, reads[i].name,
+                             reads[i].seq.size(), results[i]);
     }
     const double offline_rps =
         static_cast<double>(reads.size()) / offline_sec;

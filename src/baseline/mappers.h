@@ -69,7 +69,8 @@ struct BaselineStats
 /** Shared configuration of the baseline mappers. */
 struct BaselineConfig
 {
-    double errorRate = 0.10;   ///< region extension factor
+    /** Region extension factor; MinSeed's expected error rate. */
+    double errorRate = seed::MinSeedConfig().errorRate;
     int maxChains = 3;         ///< best chains taken to alignment
     ChainConfig chain;         ///< chaining parameters
     align::BitAlignConfig bitalign; ///< GraphAlignerLike aligner params

@@ -26,6 +26,18 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 } // namespace
 
+SegramConfig
+SegramConfig::product(double error_rate)
+{
+    SegramConfig config;
+    config.minseed.errorRate = error_rate;
+    config.bitalign.windowEditCap = std::max(
+        32, static_cast<int>(config.bitalign.windowLen * error_rate * 3));
+    config.earlyExitFraction = 1.5;
+    config.tryReverseComplement = true;
+    return config;
+}
+
 SegramMapper::SegramMapper(const graph::GenomeGraph &graph,
                            const index::MinimizerIndex &index,
                            const SegramConfig &config)
@@ -39,7 +51,8 @@ SegramMapper::SegramMapper(const graph::GenomeGraph &graph,
                  "SegramMapper requires a topologically sorted graph");
     SEGRAM_CHECK(config.earlyExitFraction >= 0.0,
                  "earlyExitFraction must be >= 0");
-    SEGRAM_CHECK(config.maxChains >= 1, "maxChains must be >= 1");
+    SEGRAM_CHECK(config.chain.maxChains >= 1,
+                 "chain.maxChains must be >= 1");
 }
 
 SegramMapper::SegramMapper(const PreprocessedReference &reference,
@@ -72,11 +85,8 @@ SegramMapper::filterRegions(MapWorkspace &workspace,
     // returns chains that live in the workspace pool, so a warm
     // chain-filter pass is allocation-free like the rest of the
     // pipeline.
-    seed::ChainConfig chain_config = config_.chain;
-    if (chain_config.maxChains == 0)
-        chain_config.maxChains = config_.maxChains;
     const auto chains =
-        seed::chainSeeds(hits, chain_config, workspace.chainScratch);
+        seed::chainSeeds(hits, config_.chain, workspace.chainScratch);
 
     const double extend = 1.0 + config_.minseed.errorRate;
     std::vector<seed::CandidateRegion> &filtered = workspace.filtered;

@@ -34,9 +34,22 @@ namespace segram::core
 
 class PreprocessedReference; // src/core/reference.h
 
-/** Pipeline configuration. */
+/**
+ * Pipeline configuration. Its defaults are the hardware-faithful
+ * pipeline the paper-figure benches measure; product() is the pipeline
+ * `segram map` and `segram serve` run.
+ */
 struct SegramConfig
 {
+    /**
+     * The product pipeline at expected per-base error rate
+     * @p error_rate: the seeding error rate, a per-window edit cap of
+     * three times the window's expected edits (never below 32), early
+     * exit at 1.5 and the reverse-complement retry.
+     */
+    static SegramConfig
+    product(double error_rate = seed::MinSeedConfig().errorRate);
+
     seed::MinSeedConfig minseed;       ///< seeding parameters
     align::BitAlignConfig bitalign;    ///< alignment parameters
     /**
@@ -70,19 +83,12 @@ struct SegramConfig
      * (Section 11.4) and notes that adding one "would increase SeGraM's
      * performance and efficiency, a study we leave to future work" —
      * this implements that study: co-diagonal seeds are grouped and
-     * only the best maxChains chains are aligned.
+     * only the best chain.maxChains chains are aligned.
      */
     bool enableChainFilter = false;
 
-    /**
-     * Chains kept when the chain filter is enabled. Applies when
-     * chain.maxChains is 0 (its default); an explicit chain.maxChains
-     * takes precedence.
-     */
-    int maxChains = 4;
-
     /** Chaining parameters (used when enableChainFilter is set). */
-    seed::ChainConfig chain;
+    seed::ChainConfig chain{.maxChains = 4};
 };
 
 /** The end-to-end mapper. */

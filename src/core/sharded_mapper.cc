@@ -161,4 +161,51 @@ ShardedBatchMapper::residencyStats() const
                                  : ShardResidency::Stats{};
 }
 
+PafFormatter::PafFormatter(const PreprocessedReference &reference,
+                           PafCoords coords)
+    : coords_(coords)
+{
+    for (const auto &chromosome : reference.chromosomes()) {
+        targets_[chromosome.name] = {
+            coords == PafCoords::kPath ? chromosome.graph.pathLength()
+                                       : chromosome.graph.totalSeqLen(),
+            &chromosome.graph};
+    }
+}
+
+std::optional<io::PafRecord>
+PafFormatter::record(std::string_view name, uint64_t read_len,
+                     const MultiMapResult &result) const
+{
+    if (!result.mapped)
+        return std::nullopt;
+    const Target &target = targets_.at(result.chromosome);
+    io::PafRecord record = io::makePafRecord(
+        std::string(name), read_len,
+        result.reverseComplemented ? '-' : '+', result.chromosome,
+        target.len, result.linearStart, result.cigar);
+    if (coords_ == PafCoords::kPath) {
+        const uint64_t ref_span = result.cigar.refLength();
+        record.targetStart = target.graph->pathProject(result.linearStart);
+        record.targetEnd =
+            ref_span == 0
+                ? record.targetStart
+                : std::clamp(target.graph->pathProject(
+                                 result.linearStart + ref_span - 1) +
+                                 1,
+                             record.targetStart, target.len);
+    }
+    return record;
+}
+
+bool
+PafFormatter::format(std::string &out, std::string_view name,
+                     uint64_t read_len, const MultiMapResult &result) const
+{
+    const auto paf = record(name, read_len, result);
+    if (paf)
+        io::formatPaf(out, *paf);
+    return paf.has_value();
+}
+
 } // namespace segram::core

@@ -19,6 +19,11 @@
  * to the earlier chromosome — runs over a deterministic shard order
  * after the grid completes. That merge is the only place in the repo
  * where results of different chromosomes meet.
+ *
+ * PafFormatter is the one result -> PAF step: `segram map`, the daemon
+ * and the benches and tests that compare against them all print the
+ * driver's results through it, so target names, lengths, strands and
+ * coordinates cannot drift apart.
  */
 
 #ifndef SEGRAM_SRC_CORE_SHARDED_MAPPER_H
@@ -26,15 +31,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/core/workspace.h"
+#include "src/io/paf.h"
 #include "src/util/thread_pool.h"
 
 namespace segram::core
@@ -144,6 +152,51 @@ class ShardedBatchMapper
     mutable std::vector<MapWorkspace> workspaces_;
     /** LRU residency control; null when memBudgetBytes == 0. */
     mutable std::unique_ptr<ShardResidency> residency_;
+};
+
+/** Coordinate space of the PAF target columns. */
+enum class PafCoords
+{
+    kConcatenated, ///< the graph's concatenated node offsets
+    kPath,         ///< the reference path (`segram map --path-coords`)
+};
+
+/** Formats MultiMapResults against one PreprocessedReference, which
+ *  must outlive the formatter. */
+class PafFormatter
+{
+  public:
+    explicit PafFormatter(const PreprocessedReference &reference,
+                          PafCoords coords = PafCoords::kConcatenated);
+
+    /**
+     * The record of read @p name (@p read_len bases) mapped as
+     * @p result; std::nullopt when the read did not map.
+     *
+     * Under kPath both alignment ends are projected onto the path (ALT
+     * bases consume graph but no path, so the end is projected, not
+     * added), and the end is clamped into [targetStart, pathLength]:
+     * start + reference span can land in an ALT node the alignment
+     * hopped over, whose divergence point lies behind the start.
+     */
+    std::optional<io::PafRecord>
+    record(std::string_view name, uint64_t read_len,
+           const MultiMapResult &result) const;
+
+    /** Appends record()'s PAF line to @p out (nothing when unmapped).
+     *  @return True when a line was appended. */
+    bool format(std::string &out, std::string_view name, uint64_t read_len,
+                const MultiMapResult &result) const;
+
+  private:
+    struct Target
+    {
+        uint64_t len = 0; ///< in the formatter's coordinates
+        const graph::GenomeGraph *graph = nullptr;
+    };
+
+    std::unordered_map<std::string, Target> targets_;
+    PafCoords coords_;
 };
 
 } // namespace segram::core

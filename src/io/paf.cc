@@ -46,14 +46,6 @@ formatPaf(std::string &out, const PafRecord &record)
     out += '\n';
 }
 
-void
-writePaf(std::ostream &out, const PafRecord &record)
-{
-    std::string line;
-    formatPaf(line, record);
-    out.write(line.data(), static_cast<std::streamsize>(line.size()));
-}
-
 PafWriter::PafWriter(std::ostream &out, size_t buffer_bytes)
     : out_(out), bufferBytes_(buffer_bytes)
 {

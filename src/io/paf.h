@@ -38,9 +38,6 @@ struct PafRecord
     Cigar cigar;               ///< emitted as the cg:Z tag
 };
 
-/** Writes one PAF line (with NM and cg:Z tags). */
-void writePaf(std::ostream &out, const PafRecord &record);
-
 /** Appends one PAF line (with NM and cg:Z tags) to @p out. */
 void formatPaf(std::string &out, const PafRecord &record);
 

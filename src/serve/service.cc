@@ -4,7 +4,6 @@
 #include <span>
 #include <utility>
 
-#include "src/io/paf.h"
 #include "src/util/check.h"
 
 namespace segram::serve
@@ -17,10 +16,9 @@ MappingService::MappingService(std::string name, std::string pack_path,
       config_(config),
       reference_(core::PreprocessedReference::load(packPath_,
                                                    config_.load)),
-      mapper_(reference_, config_.segram, config_.batch)
+      mapper_(reference_, config_.segram, config_.batch),
+      formatter_(reference_)
 {
-    for (const auto &chromosome : reference_.chromosomes())
-        targetLen_[chromosome.name] = chromosome.graph.totalSeqLen();
 }
 
 std::vector<Reply>
@@ -39,16 +37,9 @@ MappingService::map(std::span<const std::vector<ReadRecord>> requests)
     for (size_t r = 0; r < requests.size(); ++r) {
         Reply &reply = replies[r];
         for (const auto &read : requests[r]) {
-            const core::MultiMapResult &mapped = *result++;
-            if (!mapped.mapped)
-                continue;
-            const io::PafRecord record = io::makePafRecord(
-                read.name, read.seq.size(),
-                mapped.reverseComplemented ? '-' : '+',
-                mapped.chromosome, targetLen_.at(mapped.chromosome),
-                mapped.linearStart, mapped.cigar);
-            io::formatPaf(reply.payload, record);
-            ++reply.lines;
+            if (formatter_.format(reply.payload, read.name,
+                                  read.seq.size(), *result++))
+                ++reply.lines;
         }
         ++requests_;
         reads_ += requests[r].size();

@@ -8,8 +8,8 @@
  * daemon (the pre-processing cost of `segram map` is paid per
  * invocation; here it is paid per reload). The PAF it produces is
  * byte-identical to offline `segram map <pack> <reads>` because both
- * run the same SegramConfig defaults through the same sharded driver
- * and the same io::formatPaf.
+ * run core::SegramConfig::product through the same sharded driver and
+ * format through the same core::PafFormatter.
  *
  * The ServiceRegistry maps reference names to shared_ptr services.
  * Reload is an atomic pointer swap: the new pack is fully loaded
@@ -111,8 +111,7 @@ class MappingService
      * residencyStats() are deliberately lock-free for snapshot().
      */
     core::ShardedBatchMapper mapper_;
-    /** Per-chromosome PAF target length (graph concatenated coords). */
-    std::unordered_map<std::string, uint64_t> targetLen_;
+    core::PafFormatter formatter_; ///< borrows reference_ too
 
     mutable util::Mutex mapMutex_; ///< serializes mapBatch + counters
     uint64_t requests_ SEGRAM_GUARDED_BY(mapMutex_) = 0;

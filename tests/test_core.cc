@@ -2,12 +2,14 @@
  * @file
  * Tests for the SegramMapper pipeline API: configuration validation,
  * mapping behaviour on linear and graph references, early exit and
- * region capping, and CIGAR consistency.
+ * region capping, and CIGAR consistency; plus the product config and
+ * the result -> PAF formatter.
  */
 
 #include <gtest/gtest.h>
 
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/graph/graph_builder.h"
 #include "src/sim/dataset.h"
 #include "src/util/check.h"
@@ -198,7 +200,7 @@ TEST(SegramMapper, ChainFilterKeepsAccuracyWithFewerRegions)
     SegramConfig plain;
     SegramConfig filtered = plain;
     filtered.enableChainFilter = true;
-    filtered.maxChains = 3;
+    filtered.chain.maxChains = 3;
     const SegramMapper plain_mapper(dataset.graph, dataset.index, plain);
     const SegramMapper filtered_mapper(dataset.graph, dataset.index,
                                        filtered);
@@ -232,6 +234,92 @@ TEST(SegramMapper, RequiresSortedGraph)
     const auto index =
         index::MinimizerIndex::build(bad_graph, index_config);
     EXPECT_THROW(SegramMapper(bad_graph, index), InputError);
+}
+
+TEST(SegramConfig, ProductDerivesFromTheErrorRate)
+{
+    const SegramConfig config = SegramConfig::product(0.10);
+    EXPECT_EQ(config.minseed.errorRate, 0.10);
+    // Three times a 128-char window's expected edits: 38.4 -> 38.
+    EXPECT_EQ(config.bitalign.windowEditCap, 38);
+    EXPECT_EQ(config.earlyExitFraction, 1.5);
+    EXPECT_TRUE(config.tryReverseComplement);
+    // Low error rates keep the hardware's k = 32.
+    EXPECT_EQ(SegramConfig::product(0.05).bitalign.windowEditCap, 32);
+    EXPECT_EQ(SegramConfig::product().minseed.errorRate,
+              seed::MinSeedConfig().errorRate);
+}
+
+/**
+ * One bubble: AAAA | CCCCCC | T (ALT for the Cs) | GGGG at concatenated
+ * offsets 0, 4, 10, 11; the ALT node's path position is 4, where the
+ * bubble diverges, and the path is 14 bp long.
+ */
+PreprocessedReference
+bubbleReference()
+{
+    auto graph = graph::buildGraph("AAAACCCCCCGGGG", {{4, "CCCCCC", "T"}});
+    index::IndexConfig index_config;
+    index_config.sketch = {5, 3};
+    index_config.bucketBits = 4;
+    auto index = index::MinimizerIndex::build(graph, index_config);
+    std::vector<PreprocessedChromosome> chromosomes;
+    chromosomes.push_back({"chrB", std::move(graph), std::move(index)});
+    return PreprocessedReference(std::move(chromosomes));
+}
+
+MultiMapResult
+mappedAt(uint64_t linear_start, const char *cigar)
+{
+    MultiMapResult result;
+    result.mapped = true;
+    result.linearStart = linear_start;
+    result.cigar = Cigar::fromString(cigar);
+    result.chromosome = "chrB";
+    return result;
+}
+
+TEST(PafFormatter, ConcatenatedEqualsMakePafRecord)
+{
+    const auto reference = bubbleReference();
+    const PafFormatter formatter(reference);
+    MultiMapResult result = mappedAt(2, "3=1X2=");
+    result.reverseComplemented = true;
+    std::string expected;
+    io::formatPaf(expected, io::makePafRecord("r", 6, '-', "chrB", 15, 2,
+                                              result.cigar));
+    std::string out;
+    EXPECT_TRUE(formatter.format(out, "r", 6, result));
+    EXPECT_EQ(out, expected);
+    // Unmapped reads emit nothing.
+    result.mapped = false;
+    EXPECT_FALSE(formatter.record("r", 6, result).has_value());
+    EXPECT_FALSE(formatter.format(out, "r", 6, result));
+    EXPECT_EQ(out, expected);
+}
+
+TEST(PafFormatter, PathCoordsProjectClampAndKeepZeroSpans)
+{
+    const auto reference = bubbleReference();
+    ASSERT_TRUE(reference.graph(0).node(2).isAlt);
+    ASSERT_EQ(reference.graph(0).node(2).linearOffset, 10u);
+    const PafFormatter formatter(reference, PafCoords::kPath);
+    const auto span = [&](uint64_t linear_start, const char *cigar) {
+        const io::PafRecord record =
+            formatter.record("r", 6, mappedAt(linear_start, cigar)).value();
+        EXPECT_EQ(record.targetLen, 14u);
+        return std::pair(record.targetStart, record.targetEnd);
+    };
+    using Span = std::pair<uint64_t, uint64_t>;
+    EXPECT_EQ(span(2, "6="), Span(2, 8));   // on-path bases map exactly
+    EXPECT_EQ(span(10, "2="), Span(4, 11)); // T projects to 4, G to 10
+    // C C G from offset 8 hops over the ALT node, yet 8 + 3 - 1 = 10 is
+    // the ALT node's offset, which projects behind the start: the end
+    // is clamped to the start, never inverted.
+    EXPECT_EQ(span(8, "3="), Span(8, 8));
+    // A zero reference span ends where it starts; projecting the
+    // base before the start (path 9) would end it past the start.
+    EXPECT_EQ(span(10, "5I"), Span(4, 4));
 }
 
 } // namespace

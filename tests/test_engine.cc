@@ -229,7 +229,7 @@ TEST(MapWorkspace, ChainFilterPathReusesBuffers)
     const auto dataset = sim::makeDataset(smallConfig(303));
     SegramConfig config;
     config.enableChainFilter = true;
-    config.maxChains = 3;
+    config.chain.maxChains = 3;
     const SegramMapper mapper(dataset.graph, dataset.index, config);
     const auto reads = makeReads(dataset, 25, 304);
 

@@ -126,9 +126,10 @@ TEST_F(EvalFileTest, PafFileRoundTrips)
                                            5'000'000, 777, cigar);
     {
         std::ofstream out(path("r.paf"));
-        io::writePaf(out, written);
-        io::writePaf(out, io::makePafRecord("readB", 80, '+', "chr1",
-                                            1'000, 12, Cigar{}));
+        io::PafWriter writer(out);
+        writer.write(written);
+        writer.write(io::makePafRecord("readB", 80, '+', "chr1", 1'000,
+                                       12, Cigar{}));
     }
     const auto records = io::readPafFile(path("r.paf"));
     ASSERT_EQ(records.size(), 2u);

@@ -468,14 +468,14 @@ TEST(Fastx, FinalRecordWithoutTrailingNewlineRoundTrips)
     EXPECT_FALSE(crlf_reader.next(record));
 }
 
-TEST(Paf, BufferedWriterMatchesWritePaf)
+TEST(Paf, BufferedWriterMatchesFormatPaf)
 {
     const Cigar cigar = Cigar::fromString("8=1X4=");
     const PafRecord record =
         makePafRecord("q", 13, '+', "chr9", 500, 42, cigar);
 
-    std::ostringstream direct;
-    writePaf(direct, record);
+    std::string direct;
+    formatPaf(direct, record);
 
     std::ostringstream buffered;
     {
@@ -487,7 +487,7 @@ TEST(Paf, BufferedWriterMatchesWritePaf)
 
     std::string expected;
     for (int i = 0; i < 5; ++i)
-        expected += direct.str();
+        expected += direct;
     EXPECT_EQ(buffered.str(), expected);
 }
 
@@ -609,9 +609,8 @@ TEST(Paf, WritesRecordWithTags)
     EXPECT_EQ(record.queryEnd, cigar.readLength());
     EXPECT_EQ(record.targetEnd, 100 + cigar.refLength());
     EXPECT_EQ(record.matches, 22u);
-    std::ostringstream out;
-    writePaf(out, record);
-    const std::string line = out.str();
+    std::string line;
+    formatPaf(line, record);
     EXPECT_NE(line.find("read1\t24\t0\t24\t+\tchr1\t1000\t100\t"),
               std::string::npos);
     EXPECT_NE(line.find("NM:i:4"), std::string::npos);

@@ -258,16 +258,13 @@ TEST_F(PackTest, FreshAndPackLoadedReferenceScoreIdenticalAccuracy)
             views.push_back(read.seq);
         const auto results =
             mapper.mapBatch(std::span<const std::string_view>(views));
+        const core::PafFormatter formatter(ref);
         std::vector<io::PafRecord> mapped;
         for (size_t i = 0; i < reads.size(); ++i) {
-            const auto &result = results[i];
-            if (!result.mapped)
-                continue;
-            mapped.push_back(io::makePafRecord(
-                "read" + std::to_string(i), reads[i].seq.size(),
-                result.reverseComplemented ? '-' : '+',
-                result.chromosome, ref.graph(0).totalSeqLen(),
-                result.linearStart, result.cigar));
+            if (auto record = formatter.record("read" + std::to_string(i),
+                                               reads[i].seq.size(),
+                                               results[i]))
+                mapped.push_back(std::move(*record));
         }
         return evaluator.evaluate(mapper_name, mapped);
     };

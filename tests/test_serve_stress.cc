@@ -25,21 +25,15 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
-#include "src/core/reference.h"
-#include "src/core/sharded_mapper.h"
-#include "src/io/paf.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
-#include "src/sim/dataset.h"
-#include "src/util/rng.h"
+#include "tests/serve_test_util.h"
 
 namespace
 {
@@ -47,91 +41,14 @@ namespace
 using namespace segram;
 using namespace segram::serve;
 
-sim::DatasetConfig
-smallConfig(uint64_t seed)
-{
-    sim::DatasetConfig config;
-    config.genome.length = 20'000;
-    config.index.bucketBits = 12;
-    config.seed = seed;
-    return config;
-}
-
-class ServeStressTest : public ::testing::Test
+class ServeStressTest : public ServeFixture
 {
   protected:
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               ("segram_serve_stress_" + std::to_string(::getpid()));
-        std::filesystem::create_directories(dir_);
-
-        std::vector<core::PreprocessedChromosome> chromosomes;
-        dataset_ = std::make_unique<sim::Dataset>(
-            sim::makeDataset(smallConfig(11)));
-        chromosomes.push_back({"chr1", dataset_->graph,
-                               dataset_->index});
-        core::PreprocessedReference(std::move(chromosomes))
-            .save(packPath());
-
-        Rng rng(42);
-        sim::ReadSimConfig read_config{
-            120, 16, sim::ErrorProfile::illumina(0.02)};
-        read_config.revCompProbability = 0.25;
-        const auto simulated =
-            sim::simulateReads(dataset_->donor, read_config, rng);
-        for (size_t i = 0; i < simulated.size(); ++i)
-            reads_.push_back({"r" + std::to_string(i),
-                              simulated[i].seq});
+        makePack("segram_serve_stress_", 11, 42, 16);
     }
-
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    std::string packPath() const
-    {
-        return (dir_ / "ref.segram").string();
-    }
-    std::string socketPath() const
-    {
-        return (dir_ / "sv.sock").string();
-    }
-
-    /** Offline ground truth through the library driver (identical to
-     *  the ServeTest helper; duplicated so this binary stays
-     *  self-contained for a standalone TSan run). */
-    std::string
-    offlinePaf(const ServiceConfig &config,
-               const std::vector<ReadRecord> &reads) const
-    {
-        const auto reference =
-            core::PreprocessedReference::load(packPath(),
-                                              config.load);
-        const core::ShardedBatchMapper mapper(
-            reference, config.segram, config.batch);
-        std::vector<std::string_view> seqs;
-        for (const auto &read : reads)
-            seqs.push_back(read.seq);
-        const auto results = mapper.mapBatch(
-            std::span<const std::string_view>(seqs));
-        std::string paf;
-        for (size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].mapped)
-                continue;
-            io::formatPaf(
-                paf, io::makePafRecord(
-                         reads[i].name, reads[i].seq.size(),
-                         results[i].reverseComplemented ? '-' : '+',
-                         results[i].chromosome,
-                         reference.graph(0).totalSeqLen(),
-                         results[i].linearStart, results[i].cigar));
-        }
-        return paf;
-    }
-
-    std::filesystem::path dir_;
-    std::unique_ptr<sim::Dataset> dataset_;
-    std::vector<ReadRecord> reads_;
 };
 
 TEST_F(ServeStressTest, ReloadStatsAndTrafficInterleaveCleanly)

@@ -85,7 +85,6 @@
 #include <string_view>
 #include <thread>
 #include <unistd.h>
-#include <unordered_map>
 #include <vector>
 
 #include "src/baseline/mappers.h"
@@ -345,7 +344,8 @@ cmdIndex(const std::string &graph_source, const std::string &vcf_path,
     return 0;
 }
 
-/** Options of the map command. */
+/** Options of the map command, parsed in place; index, serve and
+ *  client read their shared flags (--threads, --batch, ...) here. */
 struct MapOptions
 {
     /** FASTA+VCF mode: both set. Pack mode: packPath set. GFA mode:
@@ -356,7 +356,8 @@ struct MapOptions
     std::string gfaPath;
     std::string readsPath;
     std::string engine = "segram";
-    double errorRate = 0.10;
+    /** Expected error rate: map's positional E, serve's --error-rate. */
+    double errorRate = seed::MinSeedConfig().errorRate;
     int threads = 1;
     size_t batchSize = 256;
     int bucketBits = 16;
@@ -368,31 +369,30 @@ struct MapOptions
     bool pathCoords = false;
 
     // SeGraM pipeline knobs (rejected for the baseline engines, which
-    // do not consume them — a silently ignored flag fakes behaviour).
+    // do not consume them — a silently ignored flag fakes behaviour),
+    // defaulting to SegramConfig::product's values.
     uint32_t maxRegions = 0;     ///< 0 aligns every candidate region
-    double earlyExit = 1.5;      ///< early-exit fraction; 0 disables
+    /** Early-exit fraction; 0 disables. */
+    double earlyExit = core::SegramConfig::product().earlyExitFraction;
     bool chainFilter = false;    ///< enable seed chaining (Fig. 2 step 2)
-    int maxChains = 4;           ///< chains kept when chaining is on
+    /** Chains kept when chaining is on. */
+    int maxChains = core::SegramConfig().chain.maxChains;
     int hopLimit = graph::kDefaultHopLimit; ///< HopBits height; 0 = no limit
     uint32_t maxOcc = 0;         ///< occurrence cap; 0 = uncapped
     uint64_t memBudgetMb = 0;    ///< resident-shard budget; 0 = off
 };
 
-/** The SegramConfig the map command's pipeline knobs select. */
+/** The product SegramConfig with the map command's knobs applied. */
 core::SegramConfig
 makeSegramConfig(const MapOptions &options)
 {
-    core::SegramConfig config;
-    config.minseed.errorRate = options.errorRate;
+    core::SegramConfig config =
+        core::SegramConfig::product(options.errorRate);
     config.minseed.maxOccurrences = options.maxOcc;
-    config.bitalign.windowEditCap =
-        std::max(32, static_cast<int>(config.bitalign.windowLen *
-                                      options.errorRate * 3));
     config.earlyExitFraction = options.earlyExit;
-    config.tryReverseComplement = true;
     config.maxRegions = options.maxRegions;
     config.enableChainFilter = options.chainFilter;
-    config.maxChains = options.maxChains;
+    config.chain.maxChains = options.maxChains;
     config.hopLimit = options.hopLimit;
     return config;
 }
@@ -407,11 +407,7 @@ std::vector<std::unique_ptr<core::MappingEngine>>
 makeEngine(const core::PreprocessedReference &reference,
            const MapOptions &options)
 {
-    const std::string &engine_name = options.engine;
-    SEGRAM_CHECK(engine_name == "segram" || engine_name == "graphaligner" ||
-                     engine_name == "vg",
-                 "--engine must be segram, graphaligner or vg, got '" +
-                     engine_name + "'");
+    const std::string &engine_name = options.engine; // parseArgs checked it
     if (engine_name == "segram")
         return core::segramEngines(reference, makeSegramConfig(options));
     baseline::BaselineConfig config;
@@ -458,21 +454,9 @@ cmdMap(const MapOptions &options)
                              options.discardTop, options.threads);
     const double preprocess_sec = secondsSince(preprocess_start);
 
-    // Per-chromosome PAF target metadata: concatenated-graph
-    // coordinates by default, reference-path coordinates under
-    // --path-coords (projected via the refPos/isAlt node metadata).
-    struct TargetInfo
-    {
-        uint64_t len = 0;
-        const graph::GenomeGraph *graph = nullptr;
-    };
-    std::unordered_map<std::string, TargetInfo> targets;
-    for (const auto &chromosome : reference.chromosomes()) {
-        targets[chromosome.name] = {options.pathCoords
-                                        ? chromosome.graph.pathLength()
-                                        : chromosome.graph.totalSeqLen(),
-                                    &chromosome.graph};
-    }
+    const core::PafFormatter formatter(
+        reference, options.pathCoords ? core::PafCoords::kPath
+                                      : core::PafCoords::kConcatenated);
     // Every engine maps through the work-stealing (read-chunk x shard)
     // driver: shard-skew tolerant and memory-budget capable.
     core::ShardedBatchConfig batch_config;
@@ -511,38 +495,11 @@ cmdMap(const MapOptions &options)
             std::span<const std::string_view>(seqs), &stats);
         for (size_t i = 0; i < results.size(); ++i) {
             total_bases += batch[i].seq.size();
-            const auto &result = results[i];
-            if (!result.mapped)
-                continue;
-            ++mapped;
-            const TargetInfo &target = targets[result.chromosome];
-            io::PafRecord record = io::makePafRecord(
-                batch[i].name, batch[i].seq.size(),
-                result.reverseComplemented ? '-' : '+',
-                result.chromosome, target.len, result.linearStart,
-                result.cigar);
-            if (options.pathCoords) {
-                // Project both alignment endpoints onto the reference
-                // path (ALT bases consume graph but no path, so the
-                // end must be projected too, not added). The end is
-                // clamped into [targetStart, pathLength]: start +
-                // refLength can land inside an ALT node the alignment
-                // hopped over, whose divergence point sits behind the
-                // start — an unclamped projection would emit an
-                // inverted interval our own PAF parser rejects.
-                const uint64_t ref_span = result.cigar.refLength();
-                record.targetStart =
-                    target.graph->pathProject(result.linearStart);
-                record.targetEnd =
-                    ref_span == 0
-                        ? record.targetStart
-                        : std::clamp(target.graph->pathProject(
-                                         result.linearStart + ref_span -
-                                         1) +
-                                         1,
-                                     record.targetStart, target.len);
+            if (const auto record = formatter.record(
+                    batch[i].name, batch[i].seq.size(), results[i])) {
+                ++mapped;
+                paf.write(*record);
             }
-            paf.write(record);
         }
         total_reads += batch.size();
     }
@@ -818,16 +775,11 @@ cmdEval(const std::string &truth_path,
     return every_mapper_placed_some ? 0 : 1;
 }
 
-/** Options of the serve command. */
+/** Options of the serve command; the pipeline flags are in MapOptions. */
 struct ServeOptions
 {
-    std::string socketPath;  ///< unix-domain listener; empty = none
+    serve::ServerConfig server; ///< --socket, --queue, --batch-limit
     std::string listenSpec;  ///< HOST:PORT TCP listener; empty = none
-    int threads = 1;
-    size_t queueCapacity = 64;
-    uint64_t batchLimit = 65536;
-    uint64_t memBudgetMb = 0;
-    double errorRate = 0.10;
     /** Tenants: (reference name, pack path) pairs. */
     std::vector<std::pair<std::string, std::string>> packs;
 };
@@ -847,13 +799,12 @@ onShutdownSignal(int)
 
 /**
  * `segram serve`: load every pack once, serve mapping requests until
- * SIGTERM/SIGINT, then drain and exit 0. The SegramConfig is built
- * through the same makeSegramConfig defaults as `segram map`, so the
- * daemon's PAF is byte-identical to the offline command on the same
- * pack and reads.
+ * SIGTERM/SIGINT, then drain and exit 0. Every tenant runs
+ * SegramConfig::product, like `segram map`, so the daemon's PAF is
+ * byte-identical to the offline command on the same pack and reads.
  */
 int
-cmdServe(const ServeOptions &options)
+cmdServe(const ServeOptions &options, const MapOptions &map)
 {
     // Shutdown self-pipe: the handler only writes a byte; the main
     // thread does the actual (non-async-signal-safe) teardown. Both
@@ -869,15 +820,11 @@ cmdServe(const ServeOptions &options)
     std::signal(SIGTERM, onShutdownSignal);
     std::signal(SIGINT, onShutdownSignal);
 
-    // Same knob derivation as offline `segram map <pack> <reads> [E]`.
-    MapOptions map_defaults;
-    map_defaults.errorRate = options.errorRate;
     serve::ServiceConfig service_config;
-    service_config.segram = makeSegramConfig(map_defaults);
-    service_config.batch.threads = options.threads;
-    service_config.batch.memBudgetBytes =
-        options.memBudgetMb * 1024 * 1024;
-    service_config.load.coldLoad = options.memBudgetMb > 0;
+    service_config.segram = core::SegramConfig::product(map.errorRate);
+    service_config.batch.threads = map.threads;
+    service_config.batch.memBudgetBytes = map.memBudgetMb * 1024 * 1024;
+    service_config.load.coldLoad = map.memBudgetMb > 0;
 
     serve::ServiceRegistry registry;
     for (const auto &[name, pack_path] : options.packs) {
@@ -895,21 +842,18 @@ cmdServe(const ServeOptions &options)
         registry.add(std::move(service));
     }
 
-    serve::ServerConfig server_config;
-    server_config.unixPath = options.socketPath;
+    serve::ServerConfig server_config = options.server;
     if (!options.listenSpec.empty()) {
         const auto [host, port] = serve::parseHostPort(
             options.listenSpec);
         server_config.tcpHost = host;
         server_config.tcpPort = port;
     }
-    server_config.queueCapacity = options.queueCapacity;
-    server_config.maxReadsPerRequest = options.batchLimit;
     serve::Server server(registry, server_config);
     server.start();
-    if (!options.socketPath.empty())
+    if (!server_config.unixPath.empty())
         std::fprintf(stderr, "[segram] listening on unix socket %s\n",
-                     options.socketPath.c_str());
+                     server_config.unixPath.c_str());
     if (!options.listenSpec.empty())
         std::fprintf(stderr, "[segram] listening on tcp %s:%d\n",
                      server_config.tcpHost.c_str(),
@@ -1113,30 +1057,12 @@ usage()
 struct Args
 {
     std::vector<std::string> positional;
-    int threads = 1;
-    size_t batchSize = 256;
-    int bucketBits = 16;
-    bool stats = false;
-    std::string engine = "segram";
+    /** Map flags, and the ones index, serve and client share. */
+    MapOptions map;
+    ServeOptions serve;
     uint64_t threshold = 100;
-    bool pathCoords = false;
-    // SeGraM pipeline knobs (map only, --engine segram only).
-    uint64_t maxRegions = 0;
-    double earlyExit = 1.5;
-    bool chainFilter = false;
-    int maxChains = 4;
-    int hopLimit = graph::kDefaultHopLimit;
-    uint64_t maxOcc = 0;
-    uint64_t memBudgetMb = 0;
-    // Index build knob (index only).
-    double discardTop = index::IndexConfig().discardTopFraction;
-    // Serve/client knobs.
-    std::string socketPath;
-    std::string listenSpec;
-    std::string connectSpec;
-    uint64_t queueCapacity = 64;
-    uint64_t batchLimit = 65536;
-    double errorRate = 0.10;
+    std::string socketPath;  ///< serve listener or client address
+    std::string connectSpec; ///< client TCP address
     // Simulate knobs (simulate only).
     uint32_t chromosomes = 1;
     double repeatFraction = sim::GenomeConfig().repeatFraction;
@@ -1186,19 +1112,8 @@ parseIntFlag(const char *flag, const char *text)
     return value;
 }
 
-/** Strict double parsing for positional arguments. */
-double
-parseDoubleArg(const char *what, const std::string &text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    SEGRAM_CHECK(end != text.c_str() && *end == '\0',
-                 std::string(what) + " needs a number, got '" + text +
-                     "'");
-    return value;
-}
-
-/** Strict double flag parsing: rejects "fast", "1.5x", "". */
+/** Strict double parsing (flags and positionals): rejects "fast",
+ *  "1.5x", "". */
 double
 parseDoubleFlag(const char *flag, const char *text)
 {
@@ -1228,13 +1143,13 @@ parseArgs(int argc, char **argv)
             // on shared machines; an explicit count is now required.
             SEGRAM_CHECK(value >= 1 && value <= 4096,
                          "--threads must be in [1, 4096]");
-            args.threads = static_cast<int>(value);
+            args.map.threads = static_cast<int>(value);
             args.seenFlags.push_back("--threads");
         } else if (arg == "--batch") {
             const long long value =
                 parseIntFlag("--batch", next_value("--batch"));
             SEGRAM_CHECK(value >= 1, "--batch must be >= 1");
-            args.batchSize = static_cast<size_t>(value);
+            args.map.batchSize = static_cast<size_t>(value);
             args.seenFlags.push_back("--batch");
         } else if (arg == "--bucket-bits") {
             const long long value = parseIntFlag(
@@ -1243,16 +1158,16 @@ parseArgs(int argc, char **argv)
             // sweeps up to 2^24 (Fig. 7).
             SEGRAM_CHECK(value >= 1 && value <= 32,
                          "--bucket-bits must be in [1, 32]");
-            args.bucketBits = static_cast<int>(value);
+            args.map.bucketBits = static_cast<int>(value);
             args.seenFlags.push_back("--bucket-bits");
         } else if (arg == "--engine") {
-            args.engine = next_value("--engine");
-            SEGRAM_CHECK(args.engine == "segram" ||
-                             args.engine == "graphaligner" ||
-                             args.engine == "vg",
+            args.map.engine = next_value("--engine");
+            SEGRAM_CHECK(args.map.engine == "segram" ||
+                             args.map.engine == "graphaligner" ||
+                             args.map.engine == "vg",
                          "--engine must be segram, graphaligner or "
                          "vg, got '" +
-                             args.engine + "'");
+                             args.map.engine + "'");
             args.seenFlags.push_back("--engine");
         } else if (arg == "--threshold") {
             const long long value =
@@ -1267,7 +1182,7 @@ parseArgs(int argc, char **argv)
             // 0 aligns every candidate (the hardware behaviour).
             SEGRAM_CHECK(value >= 0 && value <= 0xFFFFFFFFll,
                          "--max-regions must be in [0, 2^32)");
-            args.maxRegions = static_cast<uint64_t>(value);
+            args.map.maxRegions = static_cast<uint32_t>(value);
             args.seenFlags.push_back("--max-regions");
         } else if (arg == "--early-exit") {
             const double value = parseDoubleFlag(
@@ -1275,17 +1190,17 @@ parseArgs(int argc, char **argv)
             SEGRAM_CHECK(value >= 0.0 && value <= 100.0,
                          "--early-exit must be in [0, 100] "
                          "(0 disables early exit)");
-            args.earlyExit = value;
+            args.map.earlyExit = value;
             args.seenFlags.push_back("--early-exit");
         } else if (arg == "--chain-filter") {
-            args.chainFilter = true;
+            args.map.chainFilter = true;
             args.seenFlags.push_back("--chain-filter");
         } else if (arg == "--max-chains") {
             const long long value = parseIntFlag(
                 "--max-chains", next_value("--max-chains"));
             SEGRAM_CHECK(value >= 1 && value <= 1'000'000,
                          "--max-chains must be in [1, 1000000]");
-            args.maxChains = static_cast<int>(value);
+            args.map.maxChains = static_cast<int>(value);
             args.seenFlags.push_back("--max-chains");
         } else if (arg == "--hop-limit") {
             const long long value = parseIntFlag(
@@ -1295,7 +1210,7 @@ parseArgs(int argc, char **argv)
             SEGRAM_CHECK(value >= 0 && value <= 0xFFFF,
                          "--hop-limit must be in [0, 65535] "
                          "(0 = unlimited)");
-            args.hopLimit = static_cast<int>(value);
+            args.map.hopLimit = static_cast<int>(value);
             args.seenFlags.push_back("--hop-limit");
         } else if (arg == "--max-occ") {
             const long long value =
@@ -1305,14 +1220,14 @@ parseArgs(int argc, char **argv)
             SEGRAM_CHECK(value >= 0 && value <= 0xFFFFFFFFll,
                          "--max-occ must be in [0, 2^32) "
                          "(0 = uncapped)");
-            args.maxOcc = static_cast<uint64_t>(value);
+            args.map.maxOcc = static_cast<uint32_t>(value);
             args.seenFlags.push_back("--max-occ");
         } else if (arg == "--mem-budget") {
             const long long value = parseIntFlag(
                 "--mem-budget", next_value("--mem-budget"));
             SEGRAM_CHECK(value >= 1 && value <= 1'048'576,
                          "--mem-budget must be in [1, 1048576] MiB");
-            args.memBudgetMb = static_cast<uint64_t>(value);
+            args.map.memBudgetMb = static_cast<uint64_t>(value);
             args.seenFlags.push_back("--mem-budget");
         } else if (arg == "--discard-top") {
             const double value = parseDoubleFlag(
@@ -1320,7 +1235,7 @@ parseArgs(int argc, char **argv)
             SEGRAM_CHECK(value >= 0.0 && value < 1.0,
                          "--discard-top must be in [0, 1) "
                          "(0 disables the frequency filter)");
-            args.discardTop = value;
+            args.map.discardTop = value;
             args.seenFlags.push_back("--discard-top");
         } else if (arg == "--chromosomes") {
             const long long value = parseIntFlag(
@@ -1349,7 +1264,7 @@ parseArgs(int argc, char **argv)
                          "--socket needs a non-empty path");
             args.seenFlags.push_back("--socket");
         } else if (arg == "--listen") {
-            args.listenSpec = next_value("--listen");
+            args.serve.listenSpec = next_value("--listen");
             args.seenFlags.push_back("--listen");
         } else if (arg == "--connect") {
             args.connectSpec = next_value("--connect");
@@ -1359,27 +1274,28 @@ parseArgs(int argc, char **argv)
                 parseIntFlag("--queue", next_value("--queue"));
             SEGRAM_CHECK(value >= 1 && value <= 1'048'576,
                          "--queue must be in [1, 1048576]");
-            args.queueCapacity = static_cast<uint64_t>(value);
+            args.serve.server.queueCapacity = static_cast<size_t>(value);
             args.seenFlags.push_back("--queue");
         } else if (arg == "--batch-limit") {
             const long long value = parseIntFlag(
                 "--batch-limit", next_value("--batch-limit"));
             SEGRAM_CHECK(value >= 1 && value <= 0xFFFFFFFFll,
                          "--batch-limit must be in [1, 2^32)");
-            args.batchLimit = static_cast<uint64_t>(value);
+            args.serve.server.maxReadsPerRequest =
+                static_cast<uint64_t>(value);
             args.seenFlags.push_back("--batch-limit");
         } else if (arg == "--error-rate") {
             const double value = parseDoubleFlag(
                 "--error-rate", next_value("--error-rate"));
             SEGRAM_CHECK(value >= 0.0 && value < 1.0,
                          "--error-rate must be in [0, 1)");
-            args.errorRate = value;
+            args.map.errorRate = value;
             args.seenFlags.push_back("--error-rate");
         } else if (arg == "--path-coords") {
-            args.pathCoords = true;
+            args.map.pathCoords = true;
             args.seenFlags.push_back("--path-coords");
         } else if (arg == "--stats") {
-            args.stats = true;
+            args.map.printStats = true;
             args.seenFlags.push_back("--stats");
         } else {
             args.positional.emplace_back(arg);
@@ -1411,7 +1327,7 @@ main(int argc, char **argv)
             // The build defaults to every hardware thread: its output
             // is byte-identical at any count.
             const int threads = args.seen("--threads")
-                                    ? args.threads
+                                    ? args.map.threads
                                     : util::ThreadPool::defaultThreads();
             // Graph source by content: an imported GFA replaces the
             // FASTA+VCF pair (and needs no VCF positional). Exactly
@@ -1422,14 +1338,16 @@ main(int argc, char **argv)
                 SEGRAM_CHECK(pos.size() == 3,
                              "index from a GFA takes exactly "
                              "<graph.gfa> <out.segram>");
-                return cmdIndex(pos[1], "", pos[2], args.bucketBits,
-                                args.discardTop, threads, args.stats);
+                return cmdIndex(pos[1], "", pos[2], args.map.bucketBits,
+                                args.map.discardTop, threads,
+                                args.map.printStats);
             }
             SEGRAM_CHECK(pos.size() >= 4,
                          "index needs <ref.fa> <vars.vcf> <out.segram> "
                          "(or <graph.gfa> <out.segram>)");
-            return cmdIndex(pos[1], pos[2], pos[3], args.bucketBits,
-                            args.discardTop, threads, args.stats);
+            return cmdIndex(pos[1], pos[2], pos[3], args.map.bucketBits,
+                            args.map.discardTop, threads,
+                            args.map.printStats);
         }
         if (pos.size() >= 3 && pos[0] == "map") {
             args.requireFlagsApplyTo(
@@ -1442,7 +1360,7 @@ main(int argc, char **argv)
             // and --stats reports timings only SegramMapper collects;
             // silently ignoring them under a baseline engine would
             // fake tuned (or measured) runs.
-            if (args.engine != "segram") {
+            if (args.map.engine != "segram") {
                 for (const char *knob :
                      {"--max-regions", "--early-exit", "--chain-filter",
                       "--max-chains", "--hop-limit", "--max-occ",
@@ -1452,7 +1370,7 @@ main(int argc, char **argv)
                                      " only applies to --engine segram");
                 }
             }
-            MapOptions options;
+            MapOptions options = args.map;
             // Three input modes, detected by content (magic/sniff),
             // not by file extension: a `.segram` pack or an imported
             // GFA graph replaces the FASTA+VCF pair.
@@ -1487,27 +1405,12 @@ main(int argc, char **argv)
                          "(in-memory tables cannot be dropped)");
             options.readsPath = pos[reads_pos];
             if (pos.size() >= reads_pos + 2) {
-                options.errorRate = parseDoubleArg(
-                    "error_rate", pos[reads_pos + 1]);
+                options.errorRate = parseDoubleFlag(
+                    "error_rate", pos[reads_pos + 1].c_str());
                 SEGRAM_CHECK(options.errorRate >= 0.0 &&
                                  options.errorRate < 1.0,
                              "error_rate must be in [0, 1)");
             }
-            options.engine = args.engine;
-            options.threads = args.threads;
-            options.batchSize = args.batchSize;
-            options.bucketBits = args.bucketBits;
-            options.discardTop = args.discardTop;
-            options.printStats = args.stats;
-            options.pathCoords = args.pathCoords;
-            options.maxRegions =
-                static_cast<uint32_t>(args.maxRegions);
-            options.earlyExit = args.earlyExit;
-            options.chainFilter = args.chainFilter;
-            options.maxChains = args.maxChains;
-            options.hopLimit = args.hopLimit;
-            options.maxOcc = static_cast<uint32_t>(args.maxOcc);
-            options.memBudgetMb = args.memBudgetMb;
             return cmdMap(options);
         }
         if (pos.size() >= 6 && pos[0] == "simulate") {
@@ -1530,7 +1433,7 @@ main(int argc, char **argv)
             SEGRAM_CHECK(read_len >= 1 && read_len <= 0xFFFFFFFFll,
                          "read_len must be in [1, 2^32)");
             const double error_rate =
-                parseDoubleArg("error_rate", pos[5]);
+                parseDoubleFlag("error_rate", pos[5].c_str());
             SEGRAM_CHECK(error_rate >= 0.0 && error_rate < 1.0,
                          "error_rate must be in [0, 1)");
             SEGRAM_CHECK(
@@ -1555,18 +1458,11 @@ main(int argc, char **argv)
                           "--queue", "--batch-limit", "--mem-budget",
                           "--error-rate"});
             SEGRAM_CHECK(!args.socketPath.empty() ||
-                             !args.listenSpec.empty(),
+                             !args.serve.listenSpec.empty(),
                          "serve needs --socket PATH and/or "
                          "--listen HOST:PORT");
-            ServeOptions options;
-            options.socketPath = args.socketPath;
-            options.listenSpec = args.listenSpec;
-            options.threads = args.threads;
-            options.queueCapacity =
-                static_cast<size_t>(args.queueCapacity);
-            options.batchLimit = args.batchLimit;
-            options.memBudgetMb = args.memBudgetMb;
-            options.errorRate = args.errorRate;
+            ServeOptions options = args.serve;
+            options.server.unixPath = args.socketPath;
             for (size_t i = 1; i < pos.size(); ++i) {
                 // name=pack.segram — the name is the MAP routing key,
                 // so it must be explicit, not derived from the path.
@@ -1579,7 +1475,7 @@ main(int argc, char **argv)
                 options.packs.emplace_back(pos[i].substr(0, eq),
                                            pos[i].substr(eq + 1));
             }
-            return cmdServe(options);
+            return cmdServe(options, args.map);
         }
         if (pos.size() >= 2 && pos[0] == "client") {
             args.requireFlagsApplyTo(
@@ -1591,7 +1487,7 @@ main(int argc, char **argv)
             ClientOptions options;
             options.socketPath = args.socketPath;
             options.connectSpec = args.connectSpec;
-            options.batchSize = args.batchSize;
+            options.batchSize = args.map.batchSize;
             options.command.assign(pos.begin() + 1, pos.end());
             return cmdClient(options);
         }
