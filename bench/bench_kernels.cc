@@ -79,7 +79,7 @@ BM_BitopsFusedCell(benchmark::State &state)
     const auto pm = benchWords(row, 6);
     std::vector<uint64_t> col(static_cast<size_t>(kLevels * row));
     for (auto _ : state) {
-        ops->batchColumn(col.data(), prev.data(), pm.data(), nwords,
+        ops->batchColumn(col.data(), prev.data(), pm.data(), nwords, 0,
                          kLevels);
         benchmark::DoNotOptimize(col.data());
         benchmark::ClobberMemory();
@@ -251,11 +251,17 @@ BM_BitAlignWindowWithTraceback(benchmark::State &state)
 }
 BENCHMARK(BM_BitAlignWindowWithTraceback)->Arg(128);
 
+/** WindowBatchFixture's edits value for a pattern that misses. */
+constexpr int kMissEdits = -1;
+
 /**
  * Shared fixture of the four-lane vs one-lane comparison: @p windows
  * independent window requests (distinct genome regions and read
  * chunks) of @p window_len characters, k = window_len/4 — the mapping
- * path's regime (128 -> 2-word vectors, 64 -> 1-word).
+ * path's regime (128 -> 2-word vectors, 64 -> 1-word). Each read chunk
+ * carries @p edits substitutions, every third character at most, so
+ * its hit sits at d ~ edits; kMissEdits swaps in an unrelated chunk,
+ * which misses and makes the sweep run every level up to k.
  */
 struct WindowBatchFixture
 {
@@ -263,7 +269,7 @@ struct WindowBatchFixture
     std::vector<std::string> patterns;
     std::vector<align::WindowedAlignStream::Request> requests;
 
-    WindowBatchFixture(int windows, int window_len)
+    WindowBatchFixture(int windows, int window_len, int edits)
     {
         const auto &data = dataset();
         regions.reserve(static_cast<size_t>(windows));
@@ -273,7 +279,14 @@ struct WindowBatchFixture
             const uint64_t start = data.donor.toLinear(offset);
             regions.push_back(graph::linearizeRange(
                 data.graph, start, start + window_len + 32));
-            patterns.push_back(donorRead(offset, window_len));
+            std::string pattern =
+                donorRead(edits == kMissEdits ? offset + 1'000 : offset,
+                          window_len);
+            for (int e = 0; e < edits && 3 * e < window_len; ++e) {
+                char &base = pattern[static_cast<size_t>(3 * e)];
+                base = base == 'A' ? 'C' : 'A';
+            }
+            patterns.push_back(std::move(pattern));
         }
         for (int w = 0; w < windows; ++w)
             requests.push_back({regions[static_cast<size_t>(w)],
@@ -289,7 +302,8 @@ BM_BitAlignWindowsPerWindow(benchmark::State &state)
 {
     const int windows = static_cast<int>(state.range(0));
     const WindowBatchFixture fixture(windows,
-                                     static_cast<int>(state.range(1)));
+                                     static_cast<int>(state.range(1)),
+                                     static_cast<int>(state.range(2)));
     align::AlignScratch scratch;
     align::WindowResult result;
     for (auto _ : state) {
@@ -307,7 +321,8 @@ BM_BitAlignWindowsBatched(benchmark::State &state)
 {
     const int windows = static_cast<int>(state.range(0));
     const WindowBatchFixture fixture(windows,
-                                     static_cast<int>(state.range(1)));
+                                     static_cast<int>(state.range(1)),
+                                     static_cast<int>(state.range(2)));
     align::AlignScratch scratch;
     std::vector<align::WindowResult> results(
         static_cast<size_t>(windows));
@@ -328,16 +343,35 @@ BM_BitAlignWindowsBatched(benchmark::State &state)
             benchmark::DoNotOptimize(results.data());
         }
     }
+    // Mean hit level over the windows found, and the share found: what
+    // the edits arm actually planted.
+    double found = 0.0;
+    double levels = 0.0;
+    for (const auto &result : results) {
+        found += result.found ? 1.0 : 0.0;
+        levels += result.found ? result.editDistance : 0.0;
+    }
+    state.counters["found"] = found / windows;
+    state.counters["mean_d"] = found > 0.0 ? levels / found : 0.0;
     state.SetItemsProcessed(state.iterations() * windows);
 }
 
+/**
+ * Exact chunks (d ~ 0) at every batch size, then the steady-state
+ * eight windows with hits at d ~ 2 and d ~ 12 and a miss (edits -1),
+ * so both ends of the level-blocked sweep — stopping after the first
+ * 8-level block, or running every level to k — are timed.
+ */
 void
 windowBatchArgs(benchmark::internal::Benchmark *bench)
 {
     for (const int windows : {2, 4, 8})
         for (const int window_len : {64, 128})
-            bench->Args({windows, window_len});
-    bench->ArgNames({"windows", "window_len"});
+            bench->Args({windows, window_len, 0});
+    for (const int edits : {2, 12, kMissEdits})
+        for (const int window_len : {64, 128})
+            bench->Args({8, window_len, edits});
+    bench->ArgNames({"windows", "window_len", "edits"});
 }
 
 BENCHMARK(BM_BitAlignWindowsPerWindow)->Apply(windowBatchArgs);

@@ -1,18 +1,20 @@
 /**
  * @file
- * The backend-independent half of one BitAlign window: the best-hit
- * scan over the R bitvectors and the traceback bit-walk (Algorithm 1
- * line 25), written once against a tiny bit-probe accessor.
+ * The backend-independent half of one BitAlign window: the traceback
+ * bit-walk (Algorithm 1 line 25), written once against a tiny
+ * bit-probe accessor.
  *
- * One storage layout feeds these walks: the lane-batched kernel's
+ * One storage layout feeds the walk: the lane-batched kernel's
  * lane-major R stream (struct-of-arrays across kBatchLanes windows),
- * probed one lane at a time through window_batch.cc's accessor. The
+ * probed one lane at a time through window_batch.cc's accessor, after
+ * that file's hit scan has chosen the walk's start and distance d. The
  * accessor keeps the 4-way M/S/D/I preference logic independent of
  * that layout, and lets a walk read nothing but its own lane's bits.
+ * The walk reads levels <= d only, so the levels a level-blocked sweep
+ * skipped past the hit are never touched.
  *
  * Accessor contract (all probes are of active-low bits; "clear" means
  * the alignment predicate holds):
- *   bool msbClear(int i, int d)         — bit m-1 of R[i][d]
  *   bool rBitClear(int i, int d, int b) — bit b of R[i][d]
  *   bool virtualBitClear(int d, int b)  — bit b of the virtual sink
  *                                         successor vector at level d
@@ -30,39 +32,6 @@
 
 namespace segram::align::detail
 {
-
-/**
- * Scans for the minimum d whose whole-read bit is clear at some
- * admissible start node: Anchored probes node 0 only, SemiGlobal scans
- * d-major and then i ascending so the earliest start wins ties.
- *
- * @param[out] best_start The smallest admissible start position.
- * @return The minimum edit distance, or -1 when none is <= k.
- */
-template <class Acc>
-int
-findBestStart(const Acc &acc, int n, int k, AlignMode mode,
-              int *best_start)
-{
-    if (mode == AlignMode::Anchored) {
-        for (int d = 0; d <= k; ++d) {
-            if (acc.msbClear(0, d)) {
-                *best_start = 0;
-                return d;
-            }
-        }
-        return -1;
-    }
-    for (int d = 0; d <= k; ++d) {
-        for (int i = 0; i < n; ++i) {
-            if (acc.msbClear(i, d)) {
-                *best_start = i;
-                return d;
-            }
-        }
-    }
-    return -1;
-}
 
 /**
  * Regenerates the traceback from state (start, d): walks the stored R

@@ -29,13 +29,22 @@
  * downstream state is always exact, and traceback (bitalign_walk.h)
  * walks the finished R bits lane by lane.
  *
+ * The sweep runs in blocks of 8 edit levels: block b advances levels
+ * [8b, 8b+8) of every column (patching exceptional columns inside
+ * every block), then one scan of the block's top row finds which
+ * lanes hit, and the batch stops after the first block in which every
+ * lane has its hit. Levels d <= k' do not depend on the levels above,
+ * so the skipped levels change no output: a lane's hit (minimum d,
+ * then smallest start) and its traceback, which reads levels <= d
+ * only, are those of the full k+1-level sweep.
+ *
  * Lanes whose window is shorter than the longest in the batch retire
  * early: their pattern-mask stream is padded with all-ones, the fast
  * sweep keeps computing harmless garbage in their lane (masked
- * retirement without masks — the garbage is simply never read; find
- * and traceback stop at the lane's own n_w), and no exception is ever
- * recorded past a lane's end. Idle lanes of a short batch (one lane
- * for alignWindow) ride along the same way.
+ * retirement without masks — the garbage is simply never read; the
+ * hit scan and traceback stop at the lane's own n_w), and no
+ * exception is ever recorded past a lane's end. Idle lanes of a short
+ * batch (one lane for alignWindow) ride along the same way.
  */
 
 #ifndef SEGRAM_SRC_ALIGN_WINDOW_BATCH_H

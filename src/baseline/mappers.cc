@@ -105,7 +105,8 @@ GraphAlignerLike::GraphAlignerLike(const graph::GenomeGraph &graph,
 {
     SEGRAM_CHECK(graph.isTopologicallySorted(),
                  "GraphAlignerLike requires a topologically sorted graph");
-    SEGRAM_CHECK(config.maxChains >= 1, "maxChains must be >= 1");
+    SEGRAM_CHECK(config.chain.maxChains >= 1,
+                 "chain.maxChains must be >= 1");
 }
 
 BaselineMapResult
@@ -115,19 +116,14 @@ GraphAlignerLike::map(std::string_view read, BaselineStats *stats) const
     auto hits = collectHits(graph_, index_, read, stats);
     if (hits.empty())
         return best;
-    auto chains = chainSeeds(std::move(hits), config_.chain);
-    if (stats != nullptr)
-        stats->chains += chains.size();
-
-    const int take =
-        std::min<int>(config_.maxChains, static_cast<int>(chains.size()));
-    for (int c = 0; c < take; ++c) {
+    const auto chains = chainSeeds(std::move(hits), config_.chain);
+    for (const Chain &chain : chains) {
         if (stats != nullptr) {
             ++stats->seedsExtended;
             stats->alignedBases += read.size();
         }
         const auto [start, end] = chainRegion(
-            chains[c], read.size(), config_.errorRate,
+            chain, read.size(), config_.errorRate,
             graph_.totalSeqLen());
         const auto region = graph::linearizeRange(graph_, start, end);
         // The alignment start is uncertain by up to 2*E*readPos of the
@@ -136,7 +132,7 @@ GraphAlignerLike::map(std::string_view read, BaselineStats *stats) const
         bitalign.firstWindowExtraText +=
             static_cast<int>(std::ceil(
                 2.0 * config_.errorRate *
-                chains[c].hits.front().readPos)) +
+                chain.hits.front().readPos)) +
             32;
         const auto alignment =
             align::alignWindowed(region, read, bitalign);
@@ -167,20 +163,15 @@ VgLike::map(std::string_view read, BaselineStats *stats) const
     auto hits = collectHits(graph_, index_, read, stats);
     if (hits.empty())
         return best;
-    auto chains = chainSeeds(std::move(hits), config_.chain);
-    if (stats != nullptr)
-        stats->chains += chains.size();
-
-    const int take =
-        std::min<int>(config_.maxChains, static_cast<int>(chains.size()));
+    const auto chains = chainSeeds(std::move(hits), config_.chain);
     const auto chunk_len = static_cast<size_t>(config_.vgChunkLen);
-    for (int c = 0; c < take; ++c) {
+    for (const Chain &chain : chains) {
         if (stats != nullptr) {
             ++stats->seedsExtended;
             stats->alignedBases += read.size();
         }
         const auto [start, end] = chainRegion(
-            chains[c], read.size(), config_.errorRate,
+            chain, read.size(), config_.errorRate,
             graph_.totalSeqLen());
         const auto region = graph::linearizeRange(graph_, start, end);
 

@@ -51,15 +51,13 @@ struct BaselineMapResult
 struct BaselineStats
 {
     uint64_t rawSeeds = 0;      ///< seed hits before filtering
-    uint64_t chains = 0;        ///< chains formed
-    uint64_t seedsExtended = 0; ///< chains actually aligned
+    uint64_t seedsExtended = 0; ///< chains aligned
     uint64_t alignedBases = 0;  ///< total read bases aligned
 
     BaselineStats &
     operator+=(const BaselineStats &other)
     {
         rawSeeds += other.rawSeeds;
-        chains += other.chains;
         seedsExtended += other.seedsExtended;
         alignedBases += other.alignedBases;
         return *this;
@@ -71,8 +69,9 @@ struct BaselineConfig
 {
     /** Region extension factor; MinSeed's expected error rate. */
     double errorRate = seed::MinSeedConfig().errorRate;
-    int maxChains = 3;         ///< best chains taken to alignment
-    ChainConfig chain;         ///< chaining parameters
+    /** Chaining parameters; chainSeeds keeps the best maxChains
+     *  chains, and every kept chain is aligned. */
+    ChainConfig chain{.maxChains = 3};
     align::BitAlignConfig bitalign; ///< GraphAlignerLike aligner params
     int vgChunkLen = 256;      ///< VgLike DP chunk length
 };

@@ -137,6 +137,14 @@ makePafRecord(std::string query_name, uint64_t query_len, char strand,
 PafRecord
 parsePafLine(std::string_view line)
 {
+    // formatPaf ends every record in exactly one '\n'; accept that one,
+    // and name any other line break instead of letting it reach a field
+    // parser as junk.
+    if (line.ends_with('\n'))
+        line.remove_suffix(1);
+    SEGRAM_CHECK(line.find_first_of("\r\n") == std::string_view::npos,
+                 "PAF line has a stray line break ('\\r' or '\\n') "
+                 "besides one trailing '\\n'");
     const auto fields = util::splitTabs(line);
     SEGRAM_CHECK(fields.size() >= 12,
                  "PAF line has " + std::to_string(fields.size()) +

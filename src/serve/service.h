@@ -44,7 +44,9 @@ namespace segram::serve
 /** Everything a tenant needs to build (and rebuild, on reload). */
 struct ServiceConfig
 {
-    core::SegramConfig segram;
+    /** What `segram serve` runs: the product pipeline at the default
+     *  error rate. */
+    core::SegramConfig segram = core::SegramConfig::product();
     core::ShardedBatchConfig batch;
     io::PackLoadOptions load;
 };

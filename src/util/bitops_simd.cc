@@ -1,5 +1,6 @@
 #include "src/util/bitops_simd.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -65,18 +66,21 @@ scalarBatchFusedCell(uint64_t *dst, const uint64_t *ins,
     }
 }
 
-// The fused column: all levels of one step in one call. The scalar
-// version chains per-lane carries across word groups the same way the
-// per-level ops do; being pure integer ops, running the levels back to
-// back is bit-identical to the two-op sequence it replaces.
+// The fused column: a block of levels of one step in one call. The
+// scalar version chains per-lane carries across word groups the same
+// way the per-level ops do; being pure integer ops, running the levels
+// back to back is bit-identical to the two-op sequence it replaces.
 void
 scalarBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
-                  int nwords, int levels)
+                  int nwords, int first, int end)
 {
     const size_t lane_words =
         static_cast<size_t>(nwords) * kBatchLanes;
-    scalarBatchShiftLeftOneOr(col, prev, pm, nwords);
-    for (int d = 1; d < levels; ++d) {
+    if (first >= end)
+        return;
+    if (first == 0)
+        scalarBatchShiftLeftOneOr(col, prev, pm, nwords);
+    for (int d = std::max(first, 1); d < end; ++d) {
         scalarBatchFusedCell(col + static_cast<size_t>(d) * lane_words,
                              col + static_cast<size_t>(d - 1) * lane_words,
                              prev + static_cast<size_t>(d - 1) * lane_words,
@@ -166,33 +170,43 @@ avx2BatchFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), cell);
 }
 
-// Fused column, fixed width: the whole step stays in registers. Level
-// d reads level d-1's output (the chained insertion term) and level
-// d-1's prev row (whose unshifted and shifted forms were both computed
-// there) straight from registers, so the only memory traffic per level
-// is NW fresh loads of prev[d] and NW stores of col[d]. With NW <= 2
-// the live set (pm, prev row, shifted prev row, output, plus the
-// incoming level's temporaries) fits the 16 ymm registers.
+// Fused column, fixed width: the whole level block stays in
+// registers. Level d reads level d-1's output (the chained insertion
+// term) and level d-1's prev row (whose unshifted and shifted forms
+// were both computed there) straight from registers, so the only
+// memory traffic per level is NW fresh loads of prev[d] and NW stores
+// of col[d]. A block that starts above level 0 seeds that chain with
+// one load each of col[first-1] and prev[first-1]. With NW <= 2 the
+// live set (pm, prev row, shifted prev row, output, plus the incoming
+// level's temporaries) fits the 16 ymm registers.
 template <int NW>
 __attribute__((target("avx2"))) void
 avx2BatchColumnFixed(uint64_t *col, const uint64_t *prev,
-                     const uint64_t *pm, int levels)
+                     const uint64_t *pm, int first, int end)
 {
     __m256i pmv[NW], pp[NW], sp[NW], r[NW];
     for (int j = 0; j < NW; ++j)
         pmv[j] = avx2Load(pm + static_cast<size_t>(j) * 4);
+    const size_t seed = static_cast<size_t>(first == 0 ? 0 : first - 1) *
+                        NW * 4;
     for (int j = 0; j < NW; ++j)
-        pp[j] = avx2Load(prev + static_cast<size_t>(j) * 4);
+        pp[j] = avx2Load(prev + seed + static_cast<size_t>(j) * 4);
     sp[0] = _mm256_slli_epi64(pp[0], 1);
     for (int j = 1; j < NW; ++j)
         sp[j] = avx2ShiftIn(pp[j], pp[j - 1]);
-    for (int j = 0; j < NW; ++j) {
-        r[j] = _mm256_or_si256(sp[j], pmv[j]);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(col + static_cast<size_t>(j) * 4),
-            r[j]);
+    if (first == 0) {
+        for (int j = 0; j < NW; ++j) {
+            r[j] = _mm256_or_si256(sp[j], pmv[j]);
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(col +
+                                            static_cast<size_t>(j) * 4),
+                r[j]);
+        }
+    } else {
+        for (int j = 0; j < NW; ++j)
+            r[j] = avx2Load(col + seed + static_cast<size_t>(j) * 4);
     }
-    for (int d = 1; d < levels; ++d) {
+    for (int d = std::max(first, 1); d < end; ++d) {
         const size_t base = static_cast<size_t>(d) * NW * 4;
         __m256i pd[NW], sd[NW], ri[NW];
         for (int j = 0; j < NW; ++j)
@@ -220,22 +234,23 @@ avx2BatchColumnFixed(uint64_t *col, const uint64_t *prev,
 
 __attribute__((target("avx2"))) void
 avx2BatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
-                int nwords, int levels)
+                int nwords, int first, int end)
 {
-    if (levels <= 0)
+    if (first >= end)
         return;
     if (nwords == 1) {
-        avx2BatchColumnFixed<1>(col, prev, pm, levels);
+        avx2BatchColumnFixed<1>(col, prev, pm, first, end);
         return;
     }
     if (nwords == 2) {
-        avx2BatchColumnFixed<2>(col, prev, pm, levels);
+        avx2BatchColumnFixed<2>(col, prev, pm, first, end);
         return;
     }
     // Wide patterns: per-level sweeps (no register set holds them).
     const size_t lane_words = static_cast<size_t>(nwords) * kBatchLanes;
-    avx2BatchShiftLeftOneOr(col, prev, pm, nwords);
-    for (int d = 1; d < levels; ++d) {
+    if (first == 0)
+        avx2BatchShiftLeftOneOr(col, prev, pm, nwords);
+    for (int d = std::max(first, 1); d < end; ++d) {
         avx2BatchFusedCell(col + static_cast<size_t>(d) * lane_words,
                            col + static_cast<size_t>(d - 1) * lane_words,
                            prev + static_cast<size_t>(d - 1) * lane_words,
@@ -321,22 +336,26 @@ neonBatchFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
     }
 }
 
-// Fused column, fixed width: same register chaining as the AVX2
-// variant, with each 4-lane word group split across two 128-bit
+// Fused column, fixed width: same register chaining (and the same
+// col[first-1]/prev[first-1] seed for a block above level 0) as the
+// AVX2 variant, with each 4-lane word group split across two 128-bit
 // registers. aarch64 has 32 vector registers, so NW <= 2 (up to 16
 // live rows) fits comfortably.
 template <int NW>
 void
 neonBatchColumnFixed(uint64_t *col, const uint64_t *prev,
-                     const uint64_t *pm, int levels)
+                     const uint64_t *pm, int first, int end)
 {
     uint64x2_t pmv[NW][2], pp[NW][2], sp[NW][2], r[NW][2];
     for (int j = 0; j < NW; ++j)
         for (int h = 0; h < 2; ++h)
             pmv[j][h] = vld1q_u64(pm + static_cast<size_t>(j) * 4 + h * 2);
+    const size_t seed = static_cast<size_t>(first == 0 ? 0 : first - 1) *
+                        NW * 4;
     for (int j = 0; j < NW; ++j)
         for (int h = 0; h < 2; ++h)
-            pp[j][h] = vld1q_u64(prev + static_cast<size_t>(j) * 4 + h * 2);
+            pp[j][h] = vld1q_u64(prev + seed + static_cast<size_t>(j) * 4 +
+                                 h * 2);
     for (int h = 0; h < 2; ++h)
         sp[0][h] = vshlq_n_u64(pp[0][h], 1);
     for (int j = 1; j < NW; ++j)
@@ -344,10 +363,15 @@ neonBatchColumnFixed(uint64_t *col, const uint64_t *prev,
             sp[j][h] = neonShiftIn(pp[j][h], pp[j - 1][h]);
     for (int j = 0; j < NW; ++j)
         for (int h = 0; h < 2; ++h) {
-            r[j][h] = vorrq_u64(sp[j][h], pmv[j][h]);
-            vst1q_u64(col + static_cast<size_t>(j) * 4 + h * 2, r[j][h]);
+            uint64_t *out = col + seed + static_cast<size_t>(j) * 4 + h * 2;
+            if (first == 0) {
+                r[j][h] = vorrq_u64(sp[j][h], pmv[j][h]);
+                vst1q_u64(out, r[j][h]);
+            } else {
+                r[j][h] = vld1q_u64(out);
+            }
         }
-    for (int d = 1; d < levels; ++d) {
+    for (int d = std::max(first, 1); d < end; ++d) {
         const size_t base = static_cast<size_t>(d) * NW * 4;
         uint64x2_t pd[NW][2], sd[NW][2], ri[NW][2];
         for (int j = 0; j < NW; ++j)
@@ -380,21 +404,22 @@ neonBatchColumnFixed(uint64_t *col, const uint64_t *prev,
 
 void
 neonBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
-                int nwords, int levels)
+                int nwords, int first, int end)
 {
-    if (levels <= 0)
+    if (first >= end)
         return;
     if (nwords == 1) {
-        neonBatchColumnFixed<1>(col, prev, pm, levels);
+        neonBatchColumnFixed<1>(col, prev, pm, first, end);
         return;
     }
     if (nwords == 2) {
-        neonBatchColumnFixed<2>(col, prev, pm, levels);
+        neonBatchColumnFixed<2>(col, prev, pm, first, end);
         return;
     }
     const size_t lane_words = static_cast<size_t>(nwords) * kBatchLanes;
-    neonBatchShiftLeftOneOr(col, prev, pm, nwords);
-    for (int d = 1; d < levels; ++d) {
+    if (first == 0)
+        neonBatchShiftLeftOneOr(col, prev, pm, nwords);
+    for (int d = std::max(first, 1); d < end; ++d) {
         neonBatchFusedCell(col + static_cast<size_t>(d) * lane_words,
                            col + static_cast<size_t>(d - 1) * lane_words,
                            prev + static_cast<size_t>(d - 1) * lane_words,

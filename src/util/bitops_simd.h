@@ -74,12 +74,18 @@ struct KernelOps
                            const uint64_t *pm, int nwords);
 
     /**
-     * One whole lane-batched recurrence column in a single call:
-     * equivalent to batchShiftLeftOneOr(col, prev, pm, nwords) followed
-     * by batchFusedCell(col + d*L, col + (d-1)*L, prev + (d-1)*L,
-     * prev + d*L, pm, nwords) for d = 1 .. levels-1, with
-     * L = nwords * kBatchLanes. @p col and @p prev are level-major
-     * stacks of @p levels lane-major rows and must not overlap.
+     * Levels [@p first, @p end) of one lane-batched recurrence column in
+     * a single call: equivalent to batchShiftLeftOneOr(col, prev, pm,
+     * nwords) when @p first is 0, followed by batchFusedCell(col + d*L,
+     * col + (d-1)*L, prev + (d-1)*L, prev + d*L, pm, nwords) for every
+     * d in [max(first, 1), end), with L = nwords * kBatchLanes. @p col
+     * and @p prev are level-major stacks of lane-major rows, level 0
+     * first, and must not overlap; the call writes only col's levels
+     * [first, end) and, when first > 0, reads col's level first-1,
+     * which an earlier call must have produced. Sweeping a column in
+     * level blocks, [0, a) and then [a, b), is therefore bit-identical
+     * to one call over [0, b) — what lets alignWindowBatch stop after
+     * the block in which its lanes' hits sit.
      *
      * The recurrence chains across levels — level d's insertion input
      * is level d-1's output, and its deletion source is level d-1's
@@ -89,7 +95,8 @@ struct KernelOps
      * one call per step instead of one per level.
      */
     void (*batchColumn)(uint64_t *col, const uint64_t *prev,
-                        const uint64_t *pm, int nwords, int levels);
+                        const uint64_t *pm, int nwords, int first,
+                        int end);
 };
 
 /**

@@ -48,7 +48,8 @@ Cigar::fromString(std::string_view text)
             SEGRAM_CHECK(len <= UINT32_MAX, "CIGAR run length overflow");
         } else {
             SEGRAM_CHECK(have_len && len > 0,
-                         "CIGAR op without a positive length");
+                         "CIGAR op '" + std::string(1, c) +
+                             "' without a positive length");
             out.push(charToEditOp(c), static_cast<uint32_t>(len));
             len = 0;
             have_len = false;

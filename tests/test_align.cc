@@ -580,6 +580,94 @@ TEST(WindowBatch, MixedWidthLanesStayBitIdentical)
     expectBatchMatchesPerWindow(requests, scratch, "mixed-width");
 }
 
+TEST(BitAlign, TiedStartsGoToTheSmallestPosition)
+{
+    // "TCGT" aligns to "AACGT" at distance 1 from position 1 (T/A
+    // substitution) and from position 2 (leading insertion); the hit
+    // scan takes the minimum distance first and then the smallest
+    // start, in both the traceback and the distance-only path.
+    const auto text = chain("AACGT");
+    for (const int k : {1, 2, 9}) {
+        const WindowResult full = alignWindow(text, "TCGT", k);
+        ASSERT_TRUE(full.found) << k;
+        EXPECT_EQ(full.editDistance, 1) << k;
+        EXPECT_EQ(full.startPos, 1) << k;
+        const WindowResult distance =
+            alignWindowDistanceOnly(text, "TCGT", k);
+        EXPECT_EQ(distance.startPos, 1) << k;
+    }
+}
+
+TEST(WindowBatch, LaneResultIgnoresWhereItsMatesStop)
+{
+    // The level-blocked sweep runs a batch until its slowest lane's
+    // hit: a window batched with mates that hit at level 0 stops early,
+    // with a mate that misses it runs to k, and mates of another width
+    // and length change the batch's word count and step count. None of
+    // that may change the window's own result.
+    Rng rng(0x57094);
+    std::string text;
+    for (int i = 0; i < 240; ++i)
+        text.push_back(rng.nextBase());
+    const LinearizedGraph whole = chain(text);
+    std::string other;
+    for (int i = 0; i < 70; ++i)
+        other.push_back(rng.nextBase());
+    const LinearizedGraph short_text = chain(other);
+    std::string noise;
+    for (int i = 0; i < 100; ++i)
+        noise.push_back(rng.nextBase());
+
+    constexpr int kCap = 20;
+    const auto view = [](const LinearizedGraph &g) {
+        return graph::LinearizedGraphView(g);
+    };
+    // Mates: an exact hit (level 0), a miss (random 2-word pattern on a
+    // short text, far beyond k), and an exact hit of another width on
+    // a shorter text.
+    const std::string exact = text.substr(30, 40);
+    const std::string wide = other.substr(0, 66);
+    const WindowedAlignStream::Request mates[] = {
+        {view(whole), exact, kCap, AlignMode::SemiGlobal},
+        {view(short_text), noise, kCap, AlignMode::SemiGlobal},
+        {view(short_text), wide, kCap, AlignMode::Anchored},
+    };
+    AlignScratch scratch;
+    for (const int edits : {0, 3, 7, 8, 9, 15, 16, kCap, kCap + 1}) {
+        // The target: a 60-char slice of the long text with `edits`
+        // substitutions, every third character at most.
+        std::string pattern = text.substr(120, 60);
+        for (int e = 0; e < edits; ++e) {
+            const size_t at = static_cast<size_t>(3 * e);
+            pattern[at] = pattern[at] == 'A' ? 'C' : 'A';
+        }
+        for (const AlignMode mode :
+             {AlignMode::SemiGlobal, AlignMode::Anchored}) {
+            const WindowedAlignStream::Request target{view(whole), pattern,
+                                                      kCap, mode};
+            // Every mate set, with the target in every lane.
+            for (int mask = 0; mask < 8; ++mask) {
+                std::vector<WindowedAlignStream::Request> others;
+                for (int j = 0; j < 3; ++j)
+                    if ((mask >> j) & 1)
+                        others.push_back(mates[j]);
+                for (size_t lane = 0; lane <= others.size(); ++lane) {
+                    std::vector<WindowedAlignStream::Request> requests =
+                        others;
+                    requests.insert(requests.begin() +
+                                        static_cast<std::ptrdiff_t>(lane),
+                                    target);
+                    expectBatchMatchesPerWindow(
+                        requests, scratch,
+                        "edits " + std::to_string(edits) + " mates " +
+                            std::to_string(mask) + " lane " +
+                            std::to_string(lane));
+                }
+            }
+        }
+    }
+}
+
 TEST(WindowBatch, RejectsMismatchedEditCaps)
 {
     const LinearizedGraph text = chain("ACGTACGT");

@@ -251,6 +251,124 @@ TEST_P(BitAlignVsOracle, DistanceNeverExceedsPlantedErrorCount)
     }
 }
 
+/**
+ * @p path with exactly @p edits substitutions, at distinct positions at
+ * least three apart (so no cheaper indel alignment folds two of them).
+ */
+std::string
+plantSubstitutions(const std::string &path, Rng &rng, int edits)
+{
+    std::vector<int> slots;
+    for (int i = 0; i < static_cast<int>(path.size()); i += 3)
+        slots.push_back(i);
+    EXPECT_LE(edits, static_cast<int>(slots.size()));
+    std::string out = path;
+    for (int e = 0; e < edits && !slots.empty(); ++e) {
+        const auto pick = rng.nextBelow(slots.size());
+        const int at = slots[pick];
+        slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(pick));
+        char alt = rng.nextBase();
+        while (alt == path[static_cast<size_t>(at)])
+            alt = rng.nextBase();
+        out[static_cast<size_t>(at)] = alt;
+    }
+    return out;
+}
+
+TEST_P(BitAlignVsOracle, ResultIsTheSameAtEveryCapFromItsDistanceUp)
+{
+    // Levels d <= k' of the recurrence do not depend on the cap, so a
+    // window whose best hit sits at d* must come back identical
+    // (distance, start, CIGAR, consumed positions) at every cap
+    // k' >= d*, and not found at every k' < d*. The level-blocked sweep
+    // stops after the 8-level block holding the hit, so d* is planted
+    // on both sides of the block edges (7|8, 15|16), at the reference
+    // cap 32 and one past it; graph windows with hops put fixup columns
+    // in every block.
+    constexpr int kCap = 32;
+    Rng rng(GetParam() + 9000);
+    std::vector<bool> seen(kCap + 2, false);
+    for (const int planted : {0, 7, 8, 9, 15, 16, 24, kCap, kCap + 1}) {
+        for (const int m : {60, 110}) {
+            if (3 * planted > m)
+                continue; // not enough spaced slots
+            for (const bool hops : {false, true}) {
+                for (const AlignMode mode :
+                     {AlignMode::SemiGlobal, AlignMode::Anchored}) {
+                    const bool anchored = mode == AlignMode::Anchored;
+                    // A hop skips up to 9 characters, so graph windows
+                    // get the room for a read of length m.
+                    const auto text = randomDag(
+                        rng, hops ? 2 * m + 40 : m + 40, hops ? 0.15 : 0.0,
+                        0.0);
+                    const std::string path =
+                        samplePath(text, rng, m, anchored ? 0 : 40);
+                    const std::string read =
+                        plantSubstitutions(path, rng, planted);
+                    const std::string label =
+                        "planted " + std::to_string(planted) + " m " +
+                        std::to_string(m) + (hops ? " hops" : " linear") +
+                        (anchored ? " anchored" : " free");
+
+                    const WindowResult ref =
+                        alignWindow(text, read, kCap, mode);
+                    const int dstar = ref.found ? ref.editDistance : kCap + 1;
+                    EXPECT_LE(dstar, planted) << label;
+                    seen[static_cast<size_t>(dstar)] = true;
+                    if (!anchored) {
+                        const int oracle =
+                            baseline::dpGraphDistance(text, read)
+                                .editDistance;
+                        EXPECT_EQ(std::min(oracle, kCap + 1), dstar)
+                            << label;
+                    }
+                    if (!anchored && !hops && ref.found) {
+                        // Ties at d* go to the smallest start: on a
+                        // chain, an Anchored window that begins at i
+                        // scores exactly the alignments starting at i.
+                        int first = -1;
+                        for (int i = 0; i < text.size() && first < 0; ++i) {
+                            const graph::LinearizedGraphView from(
+                                text, i, text.size() - i);
+                            const WindowResult at =
+                                alignWindow(from, read, dstar,
+                                            AlignMode::Anchored);
+                            if (at.found && at.editDistance == dstar)
+                                first = i;
+                        }
+                        EXPECT_EQ(ref.startPos, first) << label;
+                    }
+                    for (int cap = std::max(0, dstar - 1); cap <= kCap;
+                         ++cap) {
+                        const WindowResult got =
+                            alignWindow(text, read, cap, mode);
+                        ASSERT_EQ(got.found, dstar <= cap)
+                            << label << " cap " << cap;
+                        if (!got.found)
+                            continue;
+                        EXPECT_EQ(got.editDistance, ref.editDistance)
+                            << label << " cap " << cap;
+                        EXPECT_EQ(got.startPos, ref.startPos)
+                            << label << " cap " << cap;
+                        EXPECT_EQ(got.cigar.toString(),
+                                  ref.cigar.toString())
+                            << label << " cap " << cap;
+                        EXPECT_EQ(got.textPositions, ref.textPositions)
+                            << label << " cap " << cap;
+                    }
+                    // k = 0: found iff the read occurs exactly.
+                    EXPECT_EQ(alignWindow(text, read, 0, mode).found,
+                              dstar == 0)
+                        << label;
+                }
+            }
+        }
+    }
+    // The planted distances really straddle the block edges.
+    for (const int d : {0, 7, 8, 9, 15, 16, kCap, kCap + 1})
+        EXPECT_TRUE(seen[static_cast<size_t>(d)]) << "no window at d* " << d;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BitAlignVsOracle,
                          ::testing::Range(1, 13));
 

@@ -243,7 +243,7 @@ TEST(MapperConfig, Validation)
     index_config.bucketBits = 8;
     const auto index = index::MinimizerIndex::build(graph, index_config);
     BaselineConfig bad;
-    bad.maxChains = 0;
+    bad.chain.maxChains = 0;
     EXPECT_THROW(GraphAlignerLike(graph, index, bad), InputError);
     BaselineConfig bad_chunk;
     bad_chunk.vgChunkLen = 1;

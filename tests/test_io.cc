@@ -617,6 +617,43 @@ TEST(Paf, WritesRecordWithTags)
     EXPECT_NE(line.find("cg:Z:10=1X5=2D3=1I4="), std::string::npos);
 }
 
+TEST(Paf, ParseAcceptsTheNewlineFormatPafEmits)
+{
+    const Cigar cigar = Cigar::fromString("10=1X5=2D3=1I4=");
+    const PafRecord record =
+        makePafRecord("read1", 24, '-', "chr1", 1000, 100, cigar);
+    std::string line;
+    formatPaf(line, record);
+    ASSERT_TRUE(line.ends_with('\n'));
+    std::string again;
+    formatPaf(again, parsePafLine(line));
+    EXPECT_EQ(again, line);
+
+    // Only that one '\n' is forgiven: any other line break is named.
+    for (const char *junk : {"\n", "\r", "\r\n"}) {
+        try {
+            parsePafLine(line + junk);
+            ADD_FAILURE() << "accepted trailing junk after the newline";
+        } catch (const InputError &error) {
+            EXPECT_NE(std::string(error.what()).find("stray line break"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    const std::string crlf = line.substr(0, line.size() - 1) + "\r\n";
+    EXPECT_THROW(parsePafLine(crlf), InputError);
+    // Junk that is not a line break still fails, naming the character.
+    const std::string space = line.substr(0, line.size() - 1) + " \n";
+    try {
+        parsePafLine(space);
+        ADD_FAILURE() << "accepted a trailing space after the CIGAR";
+    } catch (const InputError &error) {
+        EXPECT_NE(std::string(error.what()).find("CIGAR op ' '"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 class FileRoundTrip : public ::testing::Test
 {
   protected:

@@ -233,6 +233,13 @@ class ServeTest : public ServeFixture
 TEST_F(ServeTest, ServiceMatchesLibraryDriverExactly)
 {
     ServiceConfig config;
+    // A default tenant runs what `segram serve` runs: the product
+    // pipeline, reverse-complement retry and early exit included.
+    const core::SegramConfig product = core::SegramConfig::product();
+    EXPECT_TRUE(config.segram.tryReverseComplement);
+    EXPECT_EQ(config.segram.earlyExitFraction, product.earlyExitFraction);
+    EXPECT_EQ(config.segram.bitalign.windowEditCap,
+              product.bitalign.windowEditCap);
     config.batch.threads = 2;
     MappingService service("chr", packPath(), config);
     const std::vector<std::vector<ReadRecord>> run{reads_};
@@ -632,7 +639,16 @@ TEST_F(ServeTest, GracefulStopAnswersEveryAdmittedRequest)
         auto client = ServeClient::connectUnixSocket(socketPath());
         done.set_value(client.mapReads("ref", reads_));
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Stop once the server has admitted the request, while it may still
+    // be mapping. A fixed sleep here raced on a loaded host: stop()
+    // could run before the client even connected, unlinking the socket
+    // under it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (statValue(server.statsText(), "server.map_requests") == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    EXPECT_EQ(statValue(server.statsText(), "server.map_requests"), 1u);
     server.stop();
     in_flight.join();
     const Reply reply = done.get_future().get();

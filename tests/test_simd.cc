@@ -229,9 +229,9 @@ TEST(BatchKernels, BatchColumnMatchesScalarAcrossLevels)
                 std::vector<uint64_t> got(
                     static_cast<size_t>(levels * L));
                 scalar.batchColumn(want.data(), prev.data(), pm.data(),
-                                   nwords, levels);
+                                   nwords, 0, levels);
                 backend.ops->batchColumn(got.data(), prev.data(),
-                                         pm.data(), nwords, levels);
+                                         pm.data(), nwords, 0, levels);
                 ASSERT_EQ(want, got)
                     << "batchColumn, backend " << backend.name
                     << ", nwords " << nwords << ", levels " << levels;
@@ -338,11 +338,55 @@ TEST(BatchKernels, BatchColumnMatchesComposedDefinition)
                 std::vector<uint64_t> fused(
                     static_cast<size_t>(levels * L));
                 backend.ops->batchColumn(fused.data(), prev.data(),
-                                         pm.data(), nwords, levels);
+                                         pm.data(), nwords, 0, levels);
                 ASSERT_EQ(composed, fused)
                     << "batchColumn vs composed, backend "
                     << backend.name << ", nwords " << nwords
                     << ", levels " << levels;
+            }
+        }
+    }
+}
+
+TEST(BatchKernels, BatchColumnLevelBlocksEqualOneCall)
+{
+    // The level-blocked sweep's contract: levels [0, a) and then
+    // [a, b) equal one call over [0, b) on every backend, including
+    // the wide (> 2-word) per-level path, and a block call writes no
+    // level outside its range.
+    Rng rng(0xb10c);
+    constexpr int kLanes = bitops::kBatchLanes;
+    for (const Backend &backend : backends()) {
+        for (const int nwords : {1, 2, 3}) {
+            for (const int levels : {2, 9, 17, 33}) {
+                const int L = nwords * kLanes;
+                const auto prev = randomWords(rng, levels * L);
+                const auto pm = randomWords(rng, L);
+                std::vector<uint64_t> whole(
+                    static_cast<size_t>(levels * L));
+                backend.ops->batchColumn(whole.data(), prev.data(),
+                                         pm.data(), nwords, 0, levels);
+                for (const int a : {1, 8, levels - 1}) {
+                    if (a >= levels)
+                        continue;
+                    // Sentinel fill shows any write outside [0, b).
+                    std::vector<uint64_t> split(
+                        static_cast<size_t>(levels * L), 0x5a5a5a5aULL);
+                    backend.ops->batchColumn(split.data(), prev.data(),
+                                             pm.data(), nwords, 0, a);
+                    for (size_t at = static_cast<size_t>(a) * L;
+                         at < split.size(); ++at)
+                        ASSERT_EQ(split[at], 0x5a5a5a5aULL)
+                            << "block [0, " << a << ") wrote level "
+                            << at / L;
+                    backend.ops->batchColumn(split.data(), prev.data(),
+                                             pm.data(), nwords, a,
+                                             levels);
+                    ASSERT_EQ(whole, split)
+                        << "batchColumn [0," << a << ") + [" << a << ","
+                        << levels << "), backend " << backend.name
+                        << ", nwords " << nwords;
+                }
             }
         }
     }
