@@ -183,6 +183,13 @@ class PreprocessedReference
     /** @return True when the tables are backed by a mapped pack. */
     bool fromPack() const { return pack_ != nullptr; }
 
+    /** Where load() spent its time; zeros when not from a pack. */
+    io::PackOpenTimes
+    packOpenTimes() const
+    {
+        return pack_ != nullptr ? pack_->openTimes() : io::PackOpenTimes{};
+    }
+
     /**
      * On-disk/resident footprint of chromosome @p i's shard: the pack
      * byte extent when loaded from a pack, the table byte totals

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/util/check.h"
+#include "src/util/sync.h"
 
 namespace segram::core
 {
@@ -19,14 +20,39 @@ segramEngines(const PreprocessedReference &reference,
     return engines;
 }
 
+struct ShardedBatchMapper::Batch
+{
+    std::span<const std::string_view> reads;
+    PipelineStats *stats = nullptr;
+    size_t numChunks = 0;
+    /** Per-(shard, read) partial results; filled by the grid, merged
+     *  at collect. Memory is shards x batch MapResults per batch in
+     *  flight — the reason callers stream bounded batches rather than
+     *  whole files. */
+    std::vector<std::vector<MapResult>> partial;
+    /** Slot w is written only by pool worker w. */
+    std::vector<PipelineStats> workerStats;
+};
+
+namespace
+{
+
+int
+resolvedThreads(const ShardedBatchConfig &batch)
+{
+    return batch.threads > 0 ? batch.threads
+                             : util::ThreadPool::defaultThreads();
+}
+
+} // namespace
+
 ShardedBatchMapper::ShardedBatchMapper(
     const PreprocessedReference &reference,
     std::vector<std::unique_ptr<MappingEngine>> engines,
     const ShardedBatchConfig &batch)
     : engines_(std::move(engines)), config_(batch),
-      pool_(batch.threads > 0 ? batch.threads
-                              : util::ThreadPool::defaultThreads()),
-      workspaces_(static_cast<size_t>(pool_.size()))
+      workspaces_(static_cast<size_t>(resolvedThreads(batch))),
+      pool_(resolvedThreads(batch))
 {
     SEGRAM_CHECK(batch.chunkSize >= 1, "chunkSize must be >= 1");
     SEGRAM_CHECK(reference.numChromosomes() >= 1,
@@ -56,42 +82,41 @@ ShardedBatchMapper::ShardedBatchMapper(
 {
 }
 
-std::vector<MultiMapResult>
-ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
-                             PipelineStats *stats) const
+ShardedBatchMapper::~ShardedBatchMapper() = default;
+
+ShardedBatchMapper::Ticket
+ShardedBatchMapper::submit(std::span<const std::string_view> reads,
+                           PipelineStats *stats) const
 {
-    std::vector<MultiMapResult> results(reads.size());
-    if (reads.empty())
-        return results;
-
-    const size_t num_shards = engines_.size();
-    const size_t num_chunks =
+    auto batch = std::make_unique<Batch>();
+    batch->reads = reads;
+    batch->stats = stats;
+    batch->numChunks =
         (reads.size() + config_.chunkSize - 1) / config_.chunkSize;
-
-    // Per-(shard, read) partial results; filled by the grid, merged
-    // below. Memory is shards x batch MapResults — the reason the CLI
-    // streams bounded batches rather than whole files.
-    std::vector<std::vector<MapResult>> partial(num_shards);
-    for (auto &row : partial)
+    batch->partial.resize(engines_.size());
+    for (auto &row : batch->partial)
         row.resize(reads.size());
-
-    std::vector<PipelineStats> worker_stats(
-        static_cast<size_t>(pool_.size()));
+    if (stats != nullptr)
+        batch->workerStats.resize(static_cast<size_t>(pool_.size()));
 
     // Shard-major item order: items of one shard are contiguous, so
-    // the initial per-worker partition of parallelSteal starts the
+    // the initial per-worker partition of the steal job starts the
     // workers on different shards and each walks "its" shard's tables
     // while they are hot. Stealing rebalances when shard sizes skew.
-    pool_.parallelSteal(
-        num_shards * num_chunks, [&](size_t item, int worker) {
-            const size_t shard = item / num_chunks;
-            const size_t chunk = item % num_chunks;
+    // Workers reach the batch through this pointer, never through
+    // batches_, and the Batch never moves once allocated.
+    Batch *const job = batch.get();
+    const util::ThreadPool::JobHandle handle = pool_.submit(
+        engines_.size() * job->numChunks, [this, job](size_t item,
+                                                      int worker) {
+            const size_t shard = item / job->numChunks;
+            const size_t chunk = item % job->numChunks;
             const size_t begin = chunk * config_.chunkSize;
             const size_t end =
-                std::min(reads.size(), begin + config_.chunkSize);
+                std::min(job->reads.size(), begin + config_.chunkSize);
             PipelineStats *local =
-                stats != nullptr
-                    ? &worker_stats[static_cast<size_t>(worker)]
+                job->stats != nullptr
+                    ? &job->workerStats[static_cast<size_t>(worker)]
                     : nullptr;
             MapWorkspace &workspace =
                 workspaces_[static_cast<size_t>(worker)];
@@ -103,21 +128,55 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
             // partition is fixed by chunkSize, so batch groupings (and
             // the occupancy counters) are thread-count-invariant.
             engines_[shard]->mapMany(
-                reads.subspan(begin, end - begin),
-                std::span<MapResult>(partial[shard])
+                job->reads.subspan(begin, end - begin),
+                std::span<MapResult>(job->partial[shard])
                     .subspan(begin, end - begin),
                 local, workspace);
         });
+    util::MutexLock lock(batchesMutex_);
+    batches_.emplace(handle.id, std::move(batch));
+    return {handle.id};
+}
+
+std::unique_ptr<ShardedBatchMapper::Batch>
+ShardedBatchMapper::take(Ticket ticket) const
+{
+    util::MutexLock lock(batchesMutex_);
+    const auto it = batches_.find(ticket.id);
+    SEGRAM_CHECK(it != batches_.end(),
+                 "ShardedBatchMapper: unknown or already-collected ticket");
+    std::unique_ptr<Batch> batch = std::move(it->second);
+    batches_.erase(it);
+    return batch;
+}
+
+void
+ShardedBatchMapper::cancel(Ticket ticket) const
+{
+    // The batch is freed only after its job is done.
+    const std::unique_ptr<Batch> batch = take(ticket);
+    pool_.cancel({ticket.id});
+}
+
+std::vector<MultiMapResult>
+ShardedBatchMapper::collect(Ticket ticket) const
+{
+    const std::unique_ptr<Batch> batch = take(ticket);
+    // On a failed item this rethrows, and the batch is freed: the job
+    // is done, so no worker touches it any more.
+    pool_.wait({ticket.id});
 
     // The cross-chromosome merge, per read over ascending shard order:
     // lowest edit distance wins, ties go to the earlier chromosome.
     // Order-independent inputs + fixed merge order = deterministic
     // output.
+    const size_t num_reads = batch->reads.size();
+    std::vector<MultiMapResult> results(num_reads);
     uint64_t mapped = 0;
-    for (size_t i = 0; i < reads.size(); ++i) {
+    for (size_t i = 0; i < num_reads; ++i) {
         MultiMapResult &best = results[i];
-        for (size_t s = 0; s < num_shards; ++s) {
-            MapResult &result = partial[s][i];
+        for (size_t s = 0; s < engines_.size(); ++s) {
+            MapResult &result = batch->partial[s][i];
             if (result.mapped &&
                 (!best.mapped ||
                  result.editDistance < best.editDistance)) {
@@ -129,21 +188,29 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
             ++mapped;
     }
 
-    if (stats != nullptr) {
+    if (batch->stats != nullptr) {
         // Work counters are commutative sums over the grid. The
         // read-level counters count logical reads, not (read x shard)
         // passes.
-        // Thread-safety: each worker_stats slot was written by exactly
-        // one pool worker, and parallelSteal's completion handshake
-        // (pool mutex) happens-before this merge — no atomics needed.
+        // Thread-safety: each workerStats slot was written by exactly
+        // one pool worker, and the pool's completion handshake (pool
+        // mutex) in wait() happens-before this merge — no atomics
+        // needed.
         PipelineStats total;
-        for (const auto &partial_stats : worker_stats)
+        for (const auto &partial_stats : batch->workerStats)
             total += partial_stats;
-        total.readsTotal = reads.size();
+        total.readsTotal = num_reads;
         total.readsMapped = mapped;
-        *stats += total;
+        *batch->stats += total;
     }
     return results;
+}
+
+std::vector<MultiMapResult>
+ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
+                             PipelineStats *stats) const
+{
+    return collect(submit(reads, stats));
 }
 
 std::vector<MultiMapResult>

@@ -30,6 +30,7 @@
 #define SEGRAM_SRC_CORE_SHARDED_MAPPER_H
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -43,6 +44,8 @@
 #include "src/core/segram.h"
 #include "src/core/workspace.h"
 #include "src/io/paf.h"
+#include "src/util/sync.h"
+#include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
 
 namespace segram::core
@@ -86,8 +89,13 @@ segramEngines(const PreprocessedReference &reference,
 /**
  * Work-stealing (read-chunk x shard) batch driver over one
  * MappingEngine per chromosome. One instance owns one thread pool and
- * per-worker workspaces; mapBatch calls must be serialized by the
- * caller, and the reference must outlive the mapper.
+ * per-worker workspaces; the reference must outlive the mapper.
+ *
+ * Batches can be in flight together: submit() queues a batch and
+ * returns at once, collect() waits for it and merges it. The pool
+ * drains batches in submit order, so a worker that runs out of one
+ * batch's items starts on the next instead of idling at the boundary.
+ * submit, collect and mapBatch may be called from any thread.
  */
 class ShardedBatchMapper
 {
@@ -109,12 +117,49 @@ class ShardedBatchMapper
                        const SegramConfig &config = {},
                        const ShardedBatchConfig &batch = {});
 
+    /** See submit() for tickets not collected by then. */
+    ~ShardedBatchMapper();
+
+    /** Names one submitted batch, for collect(). */
+    struct Ticket
+    {
+        uint64_t id = 0;
+    };
+
     /**
-     * Maps reads[i] -> result[i] across the (chunk x shard) grid.
-     * Results and @p stats totals are bit-identical for every thread
-     * count; the read-level counters count logical reads, not
-     * (read x shard) passes.
+     * Queues reads[i] -> result[i] across the (chunk x shard) grid and
+     * returns at once. @p reads (the views and the bytes they name)
+     * must stay alive until the ticket is collected or the mapper is
+     * destroyed; @p stats, when non-null, receives the batch's counters
+     * at collect().
+     *
+     * Destroying the mapper with tickets not collected abandons their
+     * unclaimed items (see util::ThreadPool) and frees their state;
+     * it does not wait for their mapping.
      */
+    Ticket submit(std::span<const std::string_view> reads,
+                  PipelineStats *stats = nullptr) const;
+
+    /**
+     * Waits for the batch of @p ticket and returns its results, after
+     * adding its counters to the stats it was submitted with. Results
+     * and stats totals are bit-identical for every thread count and
+     * however many batches were in flight; the read-level counters
+     * count logical reads, not (read x shard) passes. Every ticket is
+     * collected or cancelled at most once.
+     * @throws The first error a work item of the batch threw; InputError
+     *         on an unknown or already-collected ticket.
+     */
+    std::vector<MultiMapResult> collect(Ticket ticket) const;
+
+    /**
+     * Drops the batch of @p ticket: abandons its unclaimed items, waits
+     * for its running ones, and discards its results, stats and error.
+     * Afterwards nothing reads the batch's reads any more.
+     */
+    void cancel(Ticket ticket) const;
+
+    /** collect(submit(reads, stats)). */
     std::vector<MultiMapResult>
     mapBatch(std::span<const std::string_view> reads,
              PipelineStats *stats = nullptr) const;
@@ -135,23 +180,37 @@ class ShardedBatchMapper
     /** All-zeros when no memory budget is active. */
     ShardResidency::Stats residencyStats() const;
 
+    /** Seconds the pool's workers spent in work items, summed over
+     *  workers (see util::ThreadPool::busySeconds). */
+    double poolBusySeconds() const { return pool_.busySeconds(); }
+
   private:
+    /** One submitted batch: its reads, per-shard partial results and
+     *  per-worker counters (defined in sharded_mapper.cc). */
+    struct Batch;
+
+    /** Removes @p ticket's batch from batches_. */
+    std::unique_ptr<Batch> take(Ticket ticket) const;
+
     std::vector<std::string> names_;
     std::vector<std::unique_ptr<MappingEngine>> engines_;
     ShardedBatchConfig config_;
-    /** Internally synchronized (ThreadPool's job state carries the
-     *  clang thread-safety annotations); mapBatch is logically const
-     *  but calls must be serialized by the caller — the pool runs one
-     *  job at a time and the workspaces below are reused across calls. */
-    mutable util::ThreadPool pool_;
     /** One private workspace per pool worker — the software image of
      *  each HBM channel module's private scratchpad. Not guarded by a
-     *  mutex: workspaces_[w] is touched only by pool worker w, and the
-     *  pool's job handshake orders those accesses against the caller
-     *  between batches. */
+     *  mutex: workspaces_[w] is touched only by pool worker w, which
+     *  runs one item at a time, whichever batch the item belongs to. */
     mutable std::vector<MapWorkspace> workspaces_;
     /** LRU residency control; null when memBudgetBytes == 0. */
     mutable std::unique_ptr<ShardResidency> residency_;
+    mutable util::Mutex batchesMutex_;
+    /** Submitted, not yet collected batches, keyed by ticket id. */
+    mutable std::map<uint64_t, std::unique_ptr<Batch>> batches_
+        SEGRAM_GUARDED_BY(batchesMutex_);
+    /** Internally synchronized (ThreadPool's job state carries the
+     *  clang thread-safety annotations). Declared last, so it is
+     *  destroyed first: items still running on destruction finish
+     *  before the batches, workspaces and engines they use are freed. */
+    mutable util::ThreadPool pool_;
 };
 
 /** Coordinate space of the PAF target columns. */

@@ -1,6 +1,7 @@
 #include "src/io/pack.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -474,7 +475,16 @@ PackFile
 PackFile::open(const std::string &path, const PackLoadOptions &options)
 {
     PackFile pack;
+    auto step_start = std::chrono::steady_clock::now();
+    const auto step_seconds = [&step_start] {
+        const auto now = std::chrono::steady_clock::now();
+        const double sec =
+            std::chrono::duration<double>(now - step_start).count();
+        step_start = now;
+        return sec;
+    };
     pack.mapping_ = Mapping::map(path, /*prefetch=*/!options.coldLoad);
+    pack.openTimes_.mapSec = step_seconds();
     const std::span<const std::byte> file = pack.mapping_->bytes();
 
     // --- header ---
@@ -537,10 +547,12 @@ PackFile::open(const std::string &path, const PackLoadOptions &options)
                               entry.bytes <= file.size() - entry.offset,
                           path, "section payload out of file bounds");
         if (options.verifyChecksums) {
+            step_seconds();
             SEGRAM_PACK_CHECK(
                 packChecksum(file.subspan(entry.offset, entry.bytes)) ==
                     entry.checksum,
                 path, "section payload checksum mismatch");
+            pack.openTimes_.checksumSec += step_seconds();
             // A cold load keeps validation RSS near one section: drop
             // each payload's pages as soon as they are checksummed
             // (table validation below refaults what it needs).
@@ -665,6 +677,7 @@ PackFile::open(const std::string &path, const PackLoadOptions &options)
             sectionSpan<index::SeedLocation>(file, locs_s);
 
         if (options.validateTables) {
+            step_seconds();
             // Cross-table invariants: every index a query can follow
             // must land inside its target table *before* any span is
             // handed out, so a hostile or truncated-and-padded pack can
@@ -721,6 +734,7 @@ PackFile::open(const std::string &path, const PackLoadOptions &options)
                                   path,
                                   "seed location outside its node");
             }
+            pack.openTimes_.validateSec += step_seconds();
         }
 
         Chromosome chromosome;

@@ -206,6 +206,14 @@ struct PackLoadOptions
     bool coldLoad = false;
 };
 
+/** Wall-clock split of one PackFile::open, in seconds. */
+struct PackOpenTimes
+{
+    double mapSec = 0;      ///< open + mmap (+ the prefetch advice)
+    double checksumSec = 0; ///< verifying section payload checksums
+    double validateSec = 0; ///< checking cross-table invariants
+};
+
 /**
  * @return True when the file at @p path starts with the pack magic
  *         (false for unreadable/short files; never throws).
@@ -257,6 +265,9 @@ class PackFile
     /** @return The on-disk format version (1 or 2). */
     uint32_t version() const { return version_; }
 
+    /** Where open() spent its time (zeros for a skipped step). */
+    const PackOpenTimes &openTimes() const { return openTimes_; }
+
     /**
      * Byte extent of chromosome @p i's shard. Present for every loaded
      * pack: read from the v2 ShardTable, derived from the section
@@ -301,6 +312,7 @@ class PackFile
     std::vector<Chromosome> chromosomes_;
     std::vector<PackShardInfo> shards_;
     uint32_t version_ = kPackVersion;
+    PackOpenTimes openTimes_;
 };
 
 /**

@@ -20,9 +20,9 @@
  *                   the same tenant, up to maxReadsPerRequest reads,
  *                   mapped as one batch and split back into one reply
  *                   per request. One dispatcher is deliberate:
- *                   ShardedBatchMapper::mapBatch must be serialized
- *                   per service, and parallelism lives *inside* a
- *                   batch (the mapper's own thread pool) — it comes
+ *                   MappingService::map runs one batch at a time, and
+ *                   parallelism lives *inside* a batch (the mapper's
+ *                   own thread pool) — it comes
  *                   from a request's own reads and from the queued
  *                   requests coalesced with it, so small requests
  *                   still keep every worker busy: the paper's

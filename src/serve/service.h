@@ -65,9 +65,9 @@ class MappingService
     /**
      * Maps a run of requests as one batch and formats each request's
      * PAF payload into its own Reply, in read order. Calls are
-     * serialized internally (ShardedBatchMapper::mapBatch requires
-     * it); concurrency comes from the pool *inside* the batch, which
-     * spans every read of every request in the run.
+     * serialized internally (mapMutex_, which also guards the
+     * counters); concurrency comes from the pool *inside* the batch,
+     * which spans every read of every request in the run.
      *
      * Each reply is byte-identical to mapping its request alone:
      * per-read results do not depend on which other reads share the
@@ -107,9 +107,9 @@ class MappingService
     // (members destroy in reverse order).
     core::PreprocessedReference reference_;
     /**
-     * Not GUARDED_BY(mapMutex_): mapBatch calls are serialized by
-     * map() taking the mutex, but the immutable metadata reads
-     * (numShards/threads) and the internally synchronized
+     * Not GUARDED_BY(mapMutex_): the mapper is internally
+     * synchronized, map() takes the mutex to run one batch at a time,
+     * and the immutable metadata reads (numShards/threads) and
      * residencyStats() are deliberately lock-free for snapshot().
      */
     core::ShardedBatchMapper mapper_;

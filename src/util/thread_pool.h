@@ -1,11 +1,12 @@
 /**
  * @file
- * A small fixed-size thread pool with a chunked parallel-for, the
- * software stand-in for SeGraM's per-channel module parallelism: the
- * paper provisions one MinSeed+BitAlign pair per HBM2E channel and
- * scales linearly across channels; here each worker thread plays the
- * role of one channel's module pair, pulling chunks of independent
- * per-read work from a shared counter.
+ * A small fixed-size thread pool running several index-range jobs at
+ * once, the software stand-in for SeGraM's per-channel module
+ * parallelism: the paper provisions one MinSeed+BitAlign pair per
+ * HBM2E channel and keeps every pair fed; here each worker thread
+ * plays one channel's module pair, pulling independent items from a
+ * FIFO queue of jobs, so a worker that runs out of items of one job
+ * moves straight on to the next one instead of idling at the boundary.
  *
  * No external dependencies — std::thread + condition_variable only.
  */
@@ -15,9 +16,12 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/sync.h"
@@ -27,12 +31,24 @@ namespace segram::util
 {
 
 /**
- * Fixed pool of worker threads executing chunked index-range jobs.
+ * Fixed pool of worker threads executing a FIFO queue of jobs.
  *
- * Workers are spawned once and reused across parallelFor() calls, so
- * per-batch dispatch costs no thread creation. One job runs at a time;
- * parallelFor() blocks the caller until the job completes and rethrows
- * the first worker exception, if any.
+ * Workers are spawned once and reused, so dispatch costs no thread
+ * creation. Any thread may submit() jobs and wait() for them; several
+ * jobs can be queued at once. A worker takes its next item from the
+ * oldest job that still has unclaimed items, so jobs drain in submit
+ * order and a worker that claims the last item of one job continues
+ * with the next job without sleeping. A worker runs one item at a
+ * time, so state indexed by worker id (per-worker workspaces) is never
+ * shared between two running items.
+ *
+ * Destruction: jobs that were submitted but not waited for are
+ * abandoned — their unclaimed items never run, items already running
+ * finish — and the destructor returns once every worker has joined. It
+ * never blocks on work that has not started. Everything a running item
+ * touches must therefore outlive the pool; an owner that keeps
+ * per-job state in other members declares the pool after them, so the
+ * pool is destroyed first (see core::ShardedBatchMapper).
  */
 class ThreadPool
 {
@@ -45,8 +61,14 @@ class ThreadPool
     using ChunkFn =
         std::function<void(size_t begin, size_t end, int worker_id)>;
 
-    /** Item callback of parallelSteal: processes one work item. */
+    /** Item callback of submit()/parallelSteal(): one work item. */
     using ItemFn = std::function<void(size_t item, int worker_id)>;
+
+    /** Names one submitted job, for wait(). */
+    struct JobHandle
+    {
+        uint64_t id = 0;
+    };
 
     /**
      * @param num_threads Worker count; clamped to >= 1.
@@ -56,7 +78,7 @@ class ThreadPool
      */
     explicit ThreadPool(int num_threads);
 
-    /** Joins all workers (after finishing any in-flight job). */
+    /** Abandons unclaimed items, finishes running ones, joins. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -66,33 +88,62 @@ class ThreadPool
     int size() const { return static_cast<int>(workers_.size()); }
 
     /**
-     * Runs @p fn over [0, num_items) split into chunks of
-     * @p chunk_size, distributed dynamically across the workers.
-     * Blocks until every chunk has been processed; rethrows the first
-     * exception a worker hit (remaining chunks are abandoned).
+     * Queues @p fn over the items [0, @p num_items) and returns at
+     * once. The items are pre-partitioned into one contiguous range
+     * per worker — so workers start far apart, preserving locality of
+     * item ordering — and a worker that drains its own range steals
+     * the back half of the richest remaining range, which absorbs
+     * skewed item costs (per-shard mapping work where chromosome sizes
+     * differ by 10x). The first exception an item throws abandons the
+     * job's unclaimed items; other jobs are unaffected.
      *
-     * Chunk-to-worker assignment is nondeterministic under contention;
+     * Item-to-worker assignment is nondeterministic under contention;
      * callers that need deterministic output must write results by
      * item index and keep per-worker accumulators whose merge is
      * order-independent (see core::ShardedBatchMapper).
+     *
+     * @return The handle to wait() on; every handle must be waited
+     *         or cancelled exactly once (or left to the destructor).
+     */
+    JobHandle submit(size_t num_items, ItemFn fn);
+
+    /**
+     * Blocks until @p job is done and rethrows the first
+     * exception one of its items threw.
+     * @throws InputError on a handle this pool does not hold (unknown,
+     *         or already waited).
+     */
+    void wait(JobHandle job);
+
+    /**
+     * Abandons the unclaimed items of @p job, waits for its running
+     * ones, and forgets it, error included — for a caller that no
+     * longer needs the results (the output went away, or an earlier
+     * job failed).
+     * @throws InputError on a handle this pool does not hold.
+     */
+    void cancel(JobHandle job);
+
+    /**
+     * Runs @p fn over [0, num_items) split into chunks of
+     * @p chunk_size, claimed in order from one shared range by
+     * whichever worker is free (largest-first inputs stay
+     * largest-first). submit-then-wait: blocks until every chunk has
+     * been processed and rethrows the first exception.
      */
     void parallelFor(size_t num_items, size_t chunk_size,
                      const ChunkFn &fn);
 
-    /**
-     * Work-stealing variant for *skewed* item costs (e.g. per-shard
-     * mapping work where chromosome sizes differ by 10x): [0,
-     * num_items) is pre-partitioned into one contiguous range per
-     * worker — so workers start far apart, preserving locality of
-     * item ordering — and a worker that drains its own range steals
-     * the back half of the richest remaining range. Blocks until all
-     * items are processed; rethrows the first worker exception
-     * (remaining items are abandoned).
-     *
-     * Item-to-worker assignment is nondeterministic under contention,
-     * exactly like parallelFor; the same caller rules apply.
-     */
+    /** submit(num_items, fn) then wait(): the blocking steal job. */
     void parallelSteal(size_t num_items, const ItemFn &fn);
+
+    /**
+     * @return Wall seconds the workers have spent inside items, summed
+     *         over workers, since the pool was built. Divided by
+     *         size() x an interval's wall it gives the pool's busy
+     *         fraction over that interval.
+     */
+    double busySeconds() const;
 
     /**
      * @return A reasonable default worker count for this host:
@@ -101,40 +152,48 @@ class ThreadPool
     static int defaultThreads();
 
   private:
+    /** One queued job. Guarded by mutex_ through jobs_. */
+    struct Job
+    {
+        ItemFn fn; ///< immutable after submit; called unlocked
+        /** [next, end) ranges of unclaimed items: one per worker for a
+         *  steal job, a single shared one for parallelFor. */
+        std::vector<std::pair<size_t, size_t>> ranges;
+        size_t unclaimed = 0; ///< items no worker has claimed yet
+        int running = 0;      ///< items being processed right now
+        std::exception_ptr error; ///< first failure, rethrown by wait
+
+        bool done() const { return unclaimed == 0 && running == 0; }
+    };
+
+    JobHandle enqueue(size_t num_items, size_t num_ranges, ItemFn fn);
+
+    /** wait() and cancel(): waits for @p job (after abandoning its
+     *  unclaimed items when @p abandon), forgets it, returns its error. */
+    std::exception_ptr finish(JobHandle job, bool abandon);
+
     void workerLoop(int worker_id);
 
     /**
-     * Claims the next steal-mode item for @p worker_id: its own range
-     * first, then half of the richest victim's remaining range, taken
-     * from the back. @return false when no items remain anywhere.
+     * Claims the next item for @p worker_id from the oldest job with
+     * unclaimed items: its own range of that job first, then half of
+     * the richest other range, taken from the back.
+     * @return The job, or nullptr when no job has unclaimed items.
      */
-    bool claimStealItem(int worker_id, size_t &item)
-        SEGRAM_REQUIRES(mutex_);
+    Job *claimItem(int worker_id, size_t &item) SEGRAM_REQUIRES(mutex_);
 
     std::vector<std::thread> workers_;
 
-    Mutex mutex_;
-    std::condition_variable wake_;    ///< signals workers: job or stop
-    std::condition_variable done_;    ///< signals caller: job finished
-    /** Current chunked job. */
-    const ChunkFn *job_ SEGRAM_GUARDED_BY(mutex_) = nullptr;
-    /** Current steal-mode job. */
-    const ItemFn *stealJob_ SEGRAM_GUARDED_BY(mutex_) = nullptr;
-    size_t jobItems_ SEGRAM_GUARDED_BY(mutex_) = 0;
-    size_t jobChunk_ SEGRAM_GUARDED_BY(mutex_) = 1;
-    /** Next unclaimed item index. */
-    size_t jobNext_ SEGRAM_GUARDED_BY(mutex_) = 0;
-    /** Steal mode: per-worker [next, end) ranges of unclaimed items. */
-    std::vector<std::pair<size_t, size_t>> stealRanges_
-        SEGRAM_GUARDED_BY(mutex_);
-    /** Unclaimed steal-mode items. */
-    size_t stealRemaining_ SEGRAM_GUARDED_BY(mutex_) = 0;
-    /** Bumps per job: wakeup token. */
-    uint64_t jobGeneration_ SEGRAM_GUARDED_BY(mutex_) = 0;
-    /** Workers still inside the job. */
-    int jobActiveWorkers_ SEGRAM_GUARDED_BY(mutex_) = 0;
-    /** First failure, rethrown. */
-    std::exception_ptr jobError_ SEGRAM_GUARDED_BY(mutex_);
+    mutable Mutex mutex_;
+    std::condition_variable wake_; ///< signals workers: items or stop
+    std::condition_variable done_; ///< signals waiters: a job finished
+    /** Submitted, not yet waited jobs by id; ids grow, so iteration
+     *  order is submit order. Map nodes never move, so a worker keeps
+     *  its Job pointer while it runs an item unlocked. */
+    std::map<uint64_t, Job> jobs_ SEGRAM_GUARDED_BY(mutex_);
+    uint64_t nextJobId_ SEGRAM_GUARDED_BY(mutex_) = 1;
+    /** Summed item wall time, nanoseconds. */
+    uint64_t busyNs_ SEGRAM_GUARDED_BY(mutex_) = 0;
     bool stop_ SEGRAM_GUARDED_BY(mutex_) = false;
 };
 

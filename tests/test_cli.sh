@@ -55,22 +55,40 @@ cmp "$tmp/t1.paf" "$tmp/t2.paf" || {
 echo "cli fastq + threads OK ($(wc -l < "$tmp/t1.paf") PAF records)"
 
 # --- golden output: bit-identical to the pre-refactor pipeline ---
+# Also with one- and five-read batches, so several batches are in
+# flight at once (the streaming pipeline keeps two mapping).
 test -s "$golden" || { echo "FAIL: missing golden $golden"; exit 1; }
-for threads in 1 2 4 8; do
-    "$bin" map --threads "$threads" "$tmp/d.fa" "$tmp/d.vcf" \
-        "$tmp/d.reads.fa" > "$tmp/g$threads.paf" 2> /dev/null
-    cmp "$golden" "$tmp/g$threads.paf" || {
-        echo "FAIL: PAF at $threads thread(s) differs from golden"
-        exit 1
-    }
+for batch in default 1 5; do
+    batch_args=""
+    test "$batch" = default || batch_args="--batch $batch"
+    for threads in 1 2 4 8; do
+        # shellcheck disable=SC2086 # batch_args is two words or none
+        "$bin" map --threads "$threads" $batch_args "$tmp/d.fa" \
+            "$tmp/d.vcf" "$tmp/d.reads.fa" > "$tmp/g$threads.paf" \
+            2> /dev/null
+        cmp "$golden" "$tmp/g$threads.paf" || {
+            echo "FAIL: PAF at $threads thread(s), batch $batch differs" \
+                "from golden"
+            exit 1
+        }
+    done
 done
-echo "cli golden output OK (bit-identical at 1/2/4/8 threads)"
+echo "cli golden output OK (bit-identical at 1/2/4/8 threads, batch" \
+    "default/1/5)"
 
 # --stats must print the per-stage wall-time breakdown.
 "$bin" map --threads 2 --stats "$tmp/d.fa" "$tmp/d.vcf" \
     "$tmp/d.reads.fa" > /dev/null 2> "$tmp/stats.log"
 grep -q "stage breakdown" "$tmp/stats.log" || {
     echo "FAIL: map --stats printed no stage breakdown"
+    exit 1
+}
+grep -q "pipeline: parse .* pool busy" "$tmp/stats.log" || {
+    echo "FAIL: map --stats printed no pipeline line"
+    exit 1
+}
+grep -q "pre-processing split: read inputs" "$tmp/stats.log" || {
+    echo "FAIL: map --stats printed no pre-processing split"
     exit 1
 }
 echo "cli --stats breakdown OK"
@@ -107,6 +125,13 @@ for threads in 1 2; do
         exit 1
     }
 done
+"$bin" map --stats "$tmp/d.segram" "$tmp/d.reads.fq" > /dev/null \
+    2> "$tmp/pack_stats.log"
+grep -q "pre-processing split: mmap .* checksums .* table validation" \
+    "$tmp/pack_stats.log" || {
+    echo "FAIL: pack-mode --stats printed no mmap/checksum/validation split"
+    exit 1
+}
 echo "cli pack round trip OK"
 
 # --bucket-bits must reach the index build: both sides of the
@@ -497,13 +522,20 @@ awk -F'\t' '
 echo "cli eval accuracy gate OK"
 
 # --- output-path hardening: failed writes must not be silent ---
+# The failure cases run over many small batches (--batch 4 on 400
+# reads), so batches are still mapping when the output fails; each run
+# sits under `timeout` so a pipeline that leaves a batch behind fails
+# as a hang instead of stalling the suite.
+"$bin" simulate "$tmp/many" 20000 400 150 0.03 2> /dev/null
 # ENOSPC-style failure: a sink that rejects every byte (/dev/full).
 # map must exit nonzero with a diagnostic — silently truncated
 # mappings look complete, which is worse than no output.
 if [ -w /dev/full ]; then
     rc=0
-    "$bin" map --threads 1 "$tmp/d.fa" "$tmp/d.vcf" "$tmp/d.reads.fa" \
+    timeout 120 "$bin" map --threads 4 --batch 4 "$tmp/many.fa" \
+        "$tmp/many.vcf" "$tmp/many.reads.fq" \
         > /dev/full 2> "$tmp/full.log" || rc=$?
+    test "$rc" -ne 124 || { echo "FAIL: map into /dev/full hung"; exit 1; }
     test "$rc" -ne 0 || {
         echo "FAIL: map writing to /dev/full exited 0"
         exit 1
@@ -524,8 +556,8 @@ fi
 # makes the EPIPE deterministic (the mapper's writes are buffered and
 # land long after the close).
 mkfifo "$tmp/pipe"
-"$bin" map --threads 1 "$tmp/d.fa" "$tmp/d.vcf" "$tmp/d.reads.fa" \
-    > "$tmp/pipe" 2> "$tmp/pipe.log" &
+timeout 120 "$bin" map --threads 4 --batch 4 "$tmp/many.fa" \
+    "$tmp/many.vcf" "$tmp/many.reads.fq" > "$tmp/pipe" 2> "$tmp/pipe.log" &
 map_pid=$!
 exec 3< "$tmp/pipe"
 exec 3<&-
@@ -542,6 +574,58 @@ grep -q "pipe closed" "$tmp/pipe.log" || {
     exit 1
 }
 echo "cli closed-pipe handling OK"
+
+# The everyday form of the same: `segram map | head -n 1`. POSIX sh
+# has no pipefail, so the map's status travels through a file.
+{
+    rc=0
+    timeout 120 "$bin" map --threads 4 --batch 4 "$tmp/many.fa" \
+        "$tmp/many.vcf" "$tmp/many.reads.fq" 2> "$tmp/head.log" || rc=$?
+    echo "$rc" > "$tmp/head.rc"
+} | head -n 1 > "$tmp/head.paf"
+test "$(cat "$tmp/head.rc")" -eq 0 || {
+    echo "FAIL: map | head -n 1 exited $(cat "$tmp/head.rc") (want 0)"
+    cat "$tmp/head.log"
+    exit 1
+}
+test "$(wc -l < "$tmp/head.paf")" -eq 1 || {
+    echo "FAIL: map | head -n 1 printed no record"
+    exit 1
+}
+echo "cli map | head OK"
+
+# Malformed input in a later batch: every batch before it is written,
+# exactly as when those reads are mapped alone, and the run fails with
+# the parser's error. Record 43 (batch 10 at --batch 4) loses its '+'
+# separator line; batches 0-9 hold reads 1-40.
+awk 'NR == 4 * 42 + 3 { print "x"; next } { print }' \
+    "$tmp/many.reads.fq" > "$tmp/bad.fq"
+head -n 160 "$tmp/many.reads.fq" > "$tmp/good40.fq"
+"$bin" map --threads 4 --batch 4 "$tmp/many.fa" "$tmp/many.vcf" \
+    "$tmp/good40.fq" > "$tmp/good40.paf" 2> /dev/null
+test -s "$tmp/good40.paf" || { echo "FAIL: empty 40-read PAF"; exit 1; }
+for threads in 1 4; do
+    rc=0
+    timeout 120 "$bin" map --threads "$threads" --batch 4 "$tmp/many.fa" \
+        "$tmp/many.vcf" "$tmp/bad.fq" > "$tmp/bad.paf" \
+        2> "$tmp/bad.log" || rc=$?
+    test "$rc" -ne 0 && test "$rc" -ne 124 || {
+        echo "FAIL: malformed FASTQ at $threads thread(s) exited $rc"
+        exit 1
+    }
+    grep -q "error: input error: FASTQ line 169: expected a '+' separator" \
+        "$tmp/bad.log" || {
+        echo "FAIL: malformed FASTQ error not reported"
+        cat "$tmp/bad.log"
+        exit 1
+    }
+    cmp "$tmp/good40.paf" "$tmp/bad.paf" || {
+        echo "FAIL: PAF before the malformed batch differs at" \
+            "$threads thread(s)"
+        exit 1
+    }
+done
+echo "cli malformed later batch OK (earlier batches written, exit nonzero)"
 
 # --- serve daemon smoke: load once, map many, reload, drain ---
 "$bin" index "$tmp/d.fa" "$tmp/d.vcf" "$tmp/serve.segram" 2> /dev/null

@@ -4,23 +4,31 @@
  * engine: construction checks, the owned-string and empty-batch
  * overloads, error propagation through the pool, read-exact stats
  * folding, chromosome selection, tie-breaking between identical
- * chromosomes, and bit-identity against per-read oracle loops at every
- * thread count for SeGraM and for the CPU baselines.
+ * chromosomes, bit-identity against per-read oracle loops at every
+ * thread count for SeGraM and for the CPU baselines, batches in flight
+ * together (submit/collect), and the MapPipeline streaming loop built
+ * on them: bytes, totals and error order against the batch-at-a-time
+ * loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/baseline/mappers.h"
 #include "src/core/engine.h"
+#include "src/core/map_pipeline.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/core/sharded_mapper.h"
+#include "src/io/fastx.h"
+#include "src/io/paf.h"
 #include "src/sim/dataset.h"
 #include "src/util/check.h"
 #include "src/util/dna.h"
@@ -352,6 +360,326 @@ TEST(ShardedBatchMapper, PicksTheRightChromosome)
     }
     EXPECT_EQ(stats.readsTotal, reads.size());
     EXPECT_EQ(stats.readsMapped, reads.size());
+}
+
+// ------------------------------------------------ batches in flight
+
+/** Also the lane-batching counters, which depend on batch grouping. */
+void
+expectSameLaneCounters(const PipelineStats &lhs, const PipelineStats &rhs)
+{
+    EXPECT_EQ(lhs.batchedWindows, rhs.batchedWindows);
+    EXPECT_EQ(lhs.batchLaunches, rhs.batchLaunches);
+    EXPECT_EQ(lhs.scalarWindows, rhs.scalarWindows);
+}
+
+TEST(ShardedBatchMapper, OverlappingSubmitsMatchSequentialMapBatch)
+{
+    const auto chr1 = sim::makeDataset(smallConfig(120));
+    const auto chr2 = sim::makeDataset(smallConfig(121));
+    const auto reference = referenceOf({&chr1, &chr2});
+    SegramConfig config;
+    config.tryReverseComplement = true;
+    const auto reads = makeReads({&chr1, &chr2}, 20, 122);
+    const auto views = viewsOf(reads);
+
+    // Batch sizes that are not multiples of the chunk size (8), so the
+    // batches end on partial chunks.
+    for (const size_t batch : {size_t{1}, size_t{5}, size_t{13}}) {
+        std::vector<std::span<const std::string_view>> batches;
+        for (size_t begin = 0; begin < views.size(); begin += batch)
+            batches.push_back(std::span<const std::string_view>(views).subspan(
+                begin, std::min(batch, views.size() - begin)));
+
+        // The reference: k sequential mapBatch calls on one thread.
+        const ShardedBatchMapper serial(reference, config, {.threads = 1});
+        PipelineStats serial_stats;
+        std::vector<MultiMapResult> serial_results;
+        for (const auto &part : batches)
+            for (auto &result : serial.mapBatch(part, &serial_stats))
+                serial_results.push_back(std::move(result));
+
+        for (const int threads : {1, 2, 4}) {
+            SCOPED_TRACE(testing::Message() << "batch " << batch << ", "
+                                            << threads << " threads");
+            const ShardedBatchMapper mapper(reference, config,
+                                            {.threads = threads});
+            // Every batch is submitted before the first collect.
+            PipelineStats stats;
+            std::vector<ShardedBatchMapper::Ticket> tickets;
+            for (const auto &part : batches)
+                tickets.push_back(mapper.submit(part, &stats));
+            std::vector<MultiMapResult> results;
+            for (const auto ticket : tickets)
+                for (auto &result : mapper.collect(ticket))
+                    results.push_back(std::move(result));
+            expectSameResults(results, serial_results);
+            expectSameStats(stats, serial_stats);
+            expectSameLaneCounters(stats, serial_stats);
+            EXPECT_EQ(stats.readsTotal, reads.size());
+        }
+    }
+}
+
+TEST(ShardedBatchMapper, TicketsAreCollectedOrCancelledOnce)
+{
+    const auto dataset = sim::makeDataset(smallConfig(123));
+    const auto reference = referenceOf({&dataset});
+    const ShardedBatchMapper mapper(reference, SegramConfig{},
+                                    {.threads = 2});
+    const auto reads = makeReads({&dataset}, 6, 124);
+    const auto views = viewsOf(reads);
+    const auto ticket =
+        mapper.submit(std::span<const std::string_view>(views));
+    EXPECT_EQ(mapper.collect(ticket).size(), reads.size());
+    EXPECT_THROW(mapper.collect(ticket), InputError);
+    EXPECT_THROW(mapper.collect({}), InputError);
+
+    // A cancelled ticket is gone too, and adds nothing to its stats.
+    PipelineStats stats;
+    const auto dropped =
+        mapper.submit(std::span<const std::string_view>(views), &stats);
+    mapper.cancel(dropped);
+    EXPECT_THROW(mapper.collect(dropped), InputError);
+    EXPECT_EQ(stats.readsTotal, 0u);
+}
+
+TEST(ShardedBatchMapper, DestructionWithUncollectedTicketsDoesNotHang)
+{
+    const auto dataset = sim::makeDataset(smallConfig(125));
+    const auto reference = referenceOf({&dataset, &dataset});
+    // The reads outlive the mapper, as submit() requires.
+    const auto reads = makeReads({&dataset}, 60, 126);
+    const auto views = viewsOf(reads);
+    for (const int threads : {1, 4}) {
+        const ShardedBatchMapper mapper(reference, SegramConfig{},
+                                        {.threads = threads,
+                                         .chunkSize = 1});
+        PipelineStats stats;
+        for (int k = 0; k < 3; ++k)
+            mapper.submit(std::span<const std::string_view>(views), &stats);
+    }
+}
+
+// --------------------------------------------------------- MapPipeline
+
+/** @p reads as FASTQ text, named read0, read1, ...; record @p bad_record (if
+ *  any) gets a broken '+' separator line. */
+std::string
+fastqOf(const std::vector<std::string> &reads,
+        size_t bad_record = SIZE_MAX)
+{
+    std::string text;
+    for (size_t i = 0; i < reads.size(); ++i) {
+        text += "@read" + std::to_string(i) + "\n" + reads[i] + "\n";
+        text += i == bad_record ? "x\n" : "+\n";
+        text += std::string(reads[i].size(), 'I') + "\n";
+    }
+    return text;
+}
+
+/** The batch-at-a-time loop MapPipeline replaces: the first
+ *  @p num_reads reads in batches of @p batch, mapped and written in
+ *  turn. */
+std::string
+loopPaf(const PreprocessedReference &reference,
+        const ShardedBatchMapper &mapper,
+        const std::vector<std::string> &reads, size_t num_reads,
+        size_t batch, PipelineStats *stats)
+{
+    const PafFormatter formatter(reference);
+    std::string out;
+    for (size_t begin = 0; begin < num_reads; begin += batch) {
+        const size_t end = std::min(num_reads, begin + batch);
+        const auto results = mapper.mapBatch(
+            std::span<const std::string>(reads).subspan(begin, end - begin),
+            stats);
+        for (size_t i = begin; i < end; ++i) {
+            const std::string name = "read" + std::to_string(i);
+            formatter.format(out, name, reads[i].size(),
+                             results[i - begin]);
+        }
+    }
+    return out;
+}
+
+/** Delegates to an inner engine but fails on reads of one length. */
+class FailingEngine : public MappingEngine
+{
+  public:
+    FailingEngine(std::unique_ptr<MappingEngine> inner, size_t bad_len)
+        : inner_(std::move(inner)), badLen_(bad_len)
+    {
+    }
+
+    MapResult
+    mapOne(std::string_view read, PipelineStats *stats,
+           MapWorkspace &workspace) const override
+    {
+        if (read.size() == badLen_)
+            throw InputError("unmappable read of " +
+                             std::to_string(badLen_) + " bp");
+        return inner_->mapOne(read, stats, workspace);
+    }
+
+    std::string_view engineName() const override
+    {
+        return inner_->engineName();
+    }
+
+  private:
+    std::unique_ptr<MappingEngine> inner_;
+    size_t badLen_;
+};
+
+TEST(MapPipeline, MatchesTheBatchAtATimeLoop)
+{
+    const auto chr1 = sim::makeDataset(smallConfig(130));
+    const auto chr2 = sim::makeDataset(smallConfig(131));
+    const auto reference = referenceOf({&chr1, &chr2});
+    SegramConfig config;
+    config.tryReverseComplement = true;
+    const auto reads = makeReads({&chr1, &chr2}, 21, 132);
+    const PafFormatter formatter(reference);
+
+    for (const size_t batch : {size_t{1}, size_t{5}, size_t{13}}) {
+        const ShardedBatchMapper serial(reference, config, {.threads = 1});
+        PipelineStats loop_stats;
+        const std::string expected = loopPaf(
+            reference, serial, reads, reads.size(), batch, &loop_stats);
+        uint64_t bases = 0;
+        for (const auto &read : reads)
+            bases += read.size();
+
+        for (const int threads : {1, 2, 4}) {
+            SCOPED_TRACE(testing::Message() << "batch " << batch << ", "
+                                            << threads << " threads");
+            const ShardedBatchMapper mapper(reference, config,
+                                            {.threads = threads});
+            std::istringstream in(fastqOf(reads));
+            io::FastxReader reader(in);
+            std::ostringstream out;
+            {
+                io::PafWriter writer(out);
+                MapPipeline pipeline(reader, mapper, formatter, writer,
+                                     batch);
+                pipeline.run();
+                const MapRunTotals &totals = pipeline.totals();
+                EXPECT_EQ(totals.reads, reads.size());
+                EXPECT_EQ(totals.bases, bases);
+                EXPECT_EQ(totals.mapped, loop_stats.readsMapped);
+                expectSameStats(totals.stats, loop_stats);
+                expectSameLaneCounters(totals.stats, loop_stats);
+                EXPECT_GT(totals.wallSec, 0.0);
+                EXPECT_GE(pipeline.poolBusyFraction(), 0.0);
+                EXPECT_LE(pipeline.poolBusyFraction(), 1.0);
+            }
+            EXPECT_EQ(out.str(), expected);
+        }
+    }
+}
+
+TEST(MapPipeline, ParseErrorInALaterBatchWritesTheBatchesBeforeIt)
+{
+    const auto dataset = sim::makeDataset(smallConfig(133));
+    const auto reference = referenceOf({&dataset});
+    const auto reads = makeReads({&dataset}, 40, 134);
+    const PafFormatter formatter(reference);
+    const ShardedBatchMapper serial(reference, SegramConfig{},
+                                    {.threads = 1});
+    // Record 23 is malformed: batch 4 of 5 reads fails to parse, so
+    // batches 0-3 (reads 0-19) are written and nothing after them.
+    const std::string expected =
+        loopPaf(reference, serial, reads, 20, 5, nullptr);
+    ASSERT_FALSE(expected.empty());
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads");
+        const ShardedBatchMapper mapper(reference, SegramConfig{},
+                                        {.threads = threads});
+        std::istringstream in(fastqOf(reads, 23));
+        io::FastxReader reader(in);
+        std::ostringstream out;
+        {
+            io::PafWriter writer(out);
+            MapPipeline pipeline(reader, mapper, formatter, writer, 5);
+            try {
+                pipeline.run();
+                ADD_FAILURE() << "run() did not throw";
+            } catch (const InputError &error) {
+                EXPECT_NE(std::string(error.what()).find("FASTQ line"),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
+        EXPECT_EQ(out.str(), expected);
+        // Nothing is left in flight: the mapper is free for a new batch.
+        EXPECT_EQ(mapper.mapBatch(std::span<const std::string>(reads)
+                                      .first(3))
+                      .size(),
+                  3u);
+    }
+}
+
+TEST(MapPipeline, FirstErrorInInputOrderWins)
+{
+    const auto dataset = sim::makeDataset(smallConfig(135));
+    const auto reference = referenceOf({&dataset});
+    auto reads = makeReads({&dataset}, 40, 136);
+    // Read 12 (batch 2) fails to map; record 31 (batch 6) fails to
+    // parse. Batches 3-5 may already be mapping when batch 2 fails.
+    reads[12] = reads[12].substr(0, 173);
+    const PafFormatter formatter(reference);
+    const ShardedBatchMapper serial(reference, SegramConfig{},
+                                    {.threads = 1});
+    const std::string expected =
+        loopPaf(reference, serial, reads, 10, 5, nullptr);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads");
+        std::vector<std::unique_ptr<MappingEngine>> engines;
+        engines.push_back(std::make_unique<FailingEngine>(
+            std::make_unique<SegramMapper>(reference, 0), 173));
+        const ShardedBatchMapper mapper(reference, std::move(engines),
+                                        {.threads = threads});
+        std::istringstream in(fastqOf(reads, 31));
+        io::FastxReader reader(in);
+        std::ostringstream out;
+        {
+            io::PafWriter writer(out);
+            MapPipeline pipeline(reader, mapper, formatter, writer, 5);
+            try {
+                pipeline.run();
+                ADD_FAILURE() << "run() did not throw";
+            } catch (const InputError &error) {
+                EXPECT_NE(std::string(error.what()).find("unmappable"),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
+        EXPECT_EQ(out.str(), expected);
+    }
+}
+
+TEST(MapPipeline, WriteErrorLeavesNothingInFlight)
+{
+    const auto dataset = sim::makeDataset(smallConfig(137));
+    const auto reference = referenceOf({&dataset});
+    const auto reads = makeReads({&dataset}, 30, 138);
+    const PafFormatter formatter(reference);
+    const ShardedBatchMapper mapper(reference, SegramConfig{},
+                                    {.threads = 4});
+    std::istringstream in(fastqOf(reads));
+    io::FastxReader reader(in);
+    // A sink that has already failed, behind a writer that flushes on
+    // every record: the first write of batch 0 throws while later
+    // batches are mapping.
+    std::ostringstream sink;
+    sink.setstate(std::ios::badbit);
+    io::PafWriter writer(sink, 1);
+    MapPipeline pipeline(reader, mapper, formatter, writer, 3);
+    EXPECT_THROW(pipeline.run(), IoError);
+    EXPECT_EQ(
+        mapper.mapBatch(std::span<const std::string>(reads).first(3)).size(),
+        3u);
 }
 
 // ------------------------------------------------------------ baselines

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -111,6 +113,135 @@ TEST(ThreadPool, RejectsZeroChunk)
     util::ThreadPool pool(1);
     EXPECT_THROW(pool.parallelFor(4, 0, [](size_t, size_t, int) {}),
                  InputError);
+}
+
+TEST(ThreadPool, JobsSubmittedBeforeAnyWaitEachCoverEveryItemOnce)
+{
+    util::ThreadPool pool(4);
+    const std::vector<size_t> sizes = {37, 0, 1, 500, 3};
+    std::vector<std::vector<std::atomic<int>>> hits;
+    for (const size_t size : sizes)
+        hits.emplace_back(size);
+    std::atomic<int> bad_worker{0};
+    std::vector<util::ThreadPool::JobHandle> jobs;
+    for (size_t j = 0; j < sizes.size(); ++j) {
+        jobs.push_back(pool.submit(sizes[j], [&, j](size_t item, int worker) {
+            if (worker < 0 || worker >= pool.size())
+                ++bad_worker;
+            ++hits[j][item];
+        }));
+    }
+    // Waited out of submit order: a handle names its own job.
+    for (size_t j = sizes.size(); j-- > 0;)
+        pool.wait(jobs[j]);
+    EXPECT_EQ(bad_worker.load(), 0);
+    for (size_t j = 0; j < sizes.size(); ++j)
+        for (size_t i = 0; i < sizes[j]; ++i)
+            EXPECT_EQ(hits[j][i].load(), 1) << "job " << j << " item " << i;
+    // A handle is waited once.
+    EXPECT_THROW(pool.wait(jobs.front()), InputError);
+}
+
+TEST(ThreadPool, JobsDrainInSubmitOrder)
+{
+    // One worker takes every item from the oldest job that still has
+    // unclaimed items, so job A finishes before job B starts.
+    util::ThreadPool pool(1);
+    std::vector<int> order;
+    const auto a = pool.submit(
+        4, [&](size_t item, int) { order.push_back(static_cast<int>(item)); });
+    const auto b = pool.submit(3, [&](size_t item, int) {
+        order.push_back(100 + static_cast<int>(item));
+    });
+    pool.wait(b);
+    pool.wait(a);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 100, 101, 102}));
+}
+
+TEST(ThreadPool, ErrorStaysWithItsJob)
+{
+    util::ThreadPool pool(3);
+    std::atomic<int> b_items{0};
+    const auto a = pool.submit(50, [](size_t item, int) {
+        if (item == 7)
+            throw InputError("job A failed");
+    });
+    const auto b = pool.submit(200, [&](size_t, int) { ++b_items; });
+    // B completes and its wait does not see A's error.
+    EXPECT_NO_THROW(pool.wait(b));
+    EXPECT_EQ(b_items.load(), 200);
+    EXPECT_THROW(pool.wait(a), InputError);
+    // The pool keeps working after a failed job.
+    std::atomic<int> after{0};
+    pool.parallelSteal(10, [&](size_t, int) { ++after; });
+    EXPECT_EQ(after.load(), 10);
+}
+
+TEST(ThreadPool, CancelAbandonsUnclaimedItemsAndForgetsErrors)
+{
+    util::ThreadPool pool(1);
+    std::atomic<int> ran{0};
+    std::atomic<bool> started{false};
+    std::atomic<bool> gate{false};
+    // Item 0 holds the only worker until the gate opens; cancel must
+    // wait for it, drop the other 49 items, and swallow its error.
+    const auto job = pool.submit(50, [&](size_t, int) {
+        started = true;
+        while (!gate)
+            std::this_thread::yield();
+        ++ran;
+        throw InputError("dropped with the job");
+    });
+    while (!started)
+        std::this_thread::yield();
+    std::thread opener([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        gate = true;
+    });
+    EXPECT_NO_THROW(pool.cancel(job));
+    opener.join();
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_THROW(pool.wait(job), InputError); // already forgotten
+    std::atomic<int> after{0};
+    pool.parallelSteal(5, [&](size_t, int) { ++after; });
+    EXPECT_EQ(after.load(), 5);
+}
+
+TEST(ThreadPool, DestructionAbandonsUnclaimedItemsWithoutHanging)
+{
+    // Declared before the pool: running items may touch it until the
+    // destructor returns.
+    std::atomic<int> ran{0};
+    std::atomic<bool> started{false};
+    std::atomic<bool> gate{false};
+    std::thread opener;
+    {
+        util::ThreadPool pool(1);
+        // Never waited: the destructor must abandon the 99 items the
+        // busy worker has not claimed, and finish the running one.
+        pool.submit(100, [&](size_t, int) {
+            started = true;
+            while (!gate)
+                std::this_thread::yield();
+            ++ran;
+        });
+        pool.submit(10, [&](size_t, int) { ++ran; });
+        while (!started)
+            std::this_thread::yield();
+        opener = std::thread([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            gate = true;
+        });
+    }
+    opener.join();
+    EXPECT_EQ(ran.load(), 1);
+
+    // Unwaited jobs that never started at all.
+    {
+        util::ThreadPool pool(2);
+        pool.submit(1000, [&](size_t, int) { ++ran; });
+    }
+    EXPECT_LE(ran.load(), 1001);
 }
 
 // --------------------------------------------------- engine test fixture

@@ -89,6 +89,7 @@
 
 #include "src/baseline/mappers.h"
 #include "src/core/engine.h"
+#include "src/core/map_pipeline.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/core/sharded_mapper.h"
@@ -444,6 +445,7 @@ cmdMap(const MapOptions &options)
     // batch on.
     io::PackLoadOptions load_options;
     load_options.coldLoad = options.memBudgetMb > 0;
+    BuildTimes build_times;
     const core::PreprocessedReference reference =
         from_pack
             ? core::PreprocessedReference::load(options.packPath,
@@ -451,7 +453,8 @@ cmdMap(const MapOptions &options)
             : buildReference(from_gfa ? options.gfaPath
                                       : options.fastaPath,
                              options.vcfPath, options.bucketBits,
-                             options.discardTop, options.threads);
+                             options.discardTop, options.threads,
+                             &build_times);
     const double preprocess_sec = secondsSince(preprocess_start);
 
     const core::PafFormatter formatter(
@@ -467,43 +470,19 @@ cmdMap(const MapOptions &options)
     const std::string_view engine_name = mapper.engineName();
     const int threads = mapper.threads();
 
-    // Stream reads -> batches -> worker pool -> buffered PAF, never
-    // holding more than one batch in memory.
+    // Stream reads -> batches -> worker pool -> buffered PAF, with
+    // parsing, mapping and writing overlapped and never more than
+    // MapPipeline::kInFlight batches in memory.
     io::FastxReader reader(options.readsPath);
     io::PafWriter paf(std::cout);
-    core::PipelineStats stats;
-    uint64_t total_reads = 0;
-    uint64_t total_bases = 0;
-    uint64_t mapped = 0;
-    std::vector<io::FastxRecord> batch;
-    std::vector<std::string_view> seqs;
-    const auto start_time = std::chrono::steady_clock::now();
-    // The whole output loop runs under an IoError guard: a reader that
-    // goes away (`segram map | head`) is a graceful stop, while a
-    // stream that fails for real (ENOSPC, EIO) must abort loudly —
-    // silently truncated mappings look complete and are worse than no
-    // output at all.
+    core::MapPipeline pipeline(reader, mapper, formatter, paf,
+                               options.batchSize);
+    // A reader that goes away (`segram map | head`) is a graceful
+    // stop, while a stream that fails for real (ENOSPC, EIO) must
+    // abort loudly — silently truncated mappings look complete and are
+    // worse than no output at all.
     try {
-    while (true) {
-        batch.clear();
-        if (reader.nextBatch(batch, options.batchSize) == 0)
-            break;
-        seqs.clear();
-        for (const auto &record : batch)
-            seqs.push_back(record.seq);
-        const auto results = mapper.mapBatch(
-            std::span<const std::string_view>(seqs), &stats);
-        for (size_t i = 0; i < results.size(); ++i) {
-            total_bases += batch[i].seq.size();
-            if (const auto record = formatter.record(
-                    batch[i].name, batch[i].seq.size(), results[i])) {
-                ++mapped;
-                paf.write(*record);
-            }
-        }
-        total_reads += batch.size();
-    }
-    paf.flush();
+        pipeline.run();
     } catch (const IoError &error) {
         if (error.brokenPipe()) {
             // The consumer closed its end (head, a dying pager):
@@ -517,7 +496,11 @@ cmdMap(const MapOptions &options)
         }
         throw; // ENOSPC/EIO/...: main reports it and exits nonzero
     }
-    const double wall = secondsSince(start_time);
+    const core::MapRunTotals &totals = pipeline.totals();
+    const core::PipelineStats &stats = totals.stats;
+    const uint64_t total_reads = totals.reads;
+    const uint64_t mapped = totals.mapped;
+    const double wall = totals.wallSec;
 
     std::fprintf(stderr,
                  "[segram] %.*s: mapped %llu/%llu reads (%llu regions "
@@ -539,7 +522,7 @@ cmdMap(const MapOptions &options)
                               : "built from FASTA+VCF"),
         wall, threads, threads == 1 ? "" : "s",
         static_cast<double>(total_reads) / wall,
-        static_cast<double>(total_bases) / wall);
+        static_cast<double>(totals.bases) / wall);
     if (options.memBudgetMb > 0) {
         const auto residency = mapper.residencyStats();
         std::fprintf(
@@ -554,6 +537,33 @@ cmdMap(const MapOptions &options)
                 (1024.0 * 1024.0));
     }
     if (options.printStats) {
+        // Where the pre-processing wall went.
+        if (from_pack) {
+            const io::PackOpenTimes open = reference.packOpenTimes();
+            std::fprintf(stderr,
+                         "[segram] pre-processing split: mmap %.4f s, "
+                         "checksums %.4f s, table validation %.4f s, "
+                         "other %.4f s\n",
+                         open.mapSec, open.checksumSec, open.validateSec,
+                         preprocess_sec - open.mapSec - open.checksumSec -
+                             open.validateSec);
+        } else {
+            std::fprintf(stderr,
+                         "[segram] pre-processing split: read inputs "
+                         "%.4f s, build %.4f s\n",
+                         build_times.readSec, build_times.buildSec);
+        }
+        // Where the mapping wall went on the calling thread, which
+        // parses and writes while the pool maps: its wait covers the
+        // I/O when the pool is the bottleneck. Busy fraction = summed
+        // worker item time / (threads x mapping wall).
+        std::fprintf(stderr,
+                     "[segram] pipeline: parse %.3f s, wait for mapping "
+                     "%.3f s, format+write %.3f s on the calling thread; "
+                     "pool busy %.2f (%.3f s over %d x %.3f s)\n",
+                     totals.parseSec, totals.waitSec, totals.writeSec,
+                     pipeline.poolBusyFraction(), totals.poolBusySec,
+                     threads, wall);
         // Stage seconds are summed across worker threads (aggregate
         // stage work), so their total can exceed the wall time above.
         const core::StageTimings &timings = stats.timings;
