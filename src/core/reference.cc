@@ -29,24 +29,31 @@ namespace
 {
 
 /**
- * Runs @p build_one(i) for every chromosome i < @p sizes.size() on a
- * pool of min(@p threads, n) workers (0 = ThreadPool::defaultThreads()),
- * longest first: longest-processing-time-first scheduling, so the
- * largest chromosomes never start last and stretch the makespan.
- * build_one(i) must write only slot i of its output; the reports it
- * returns are appended to @p build_info (if set) in chromosome order.
+ * Builds every chromosome on one pool of @p threads workers
+ * (0 = ThreadPool::defaultThreads()), in two stages:
+ *  1. @p make_graph(i) for every chromosome i < @p sizes.size(), one
+ *     chromosome per worker, longest first: longest-processing-time-
+ *     first scheduling, so the largest never starts last and
+ *     stretches the makespan. make_graph(i) must fill only
+ *     @p chromosomes[i]'s name (before anything that can throw) and
+ *     graph, and returns its report row.
+ *  2. each chromosome's index, one chromosome after another in
+ *     reference order, every one with the whole pool.
+ * The calling thread drives both stages, so no worker ever waits on
+ * the pool.
  *
  * A failure is kept per chromosome, and the lowest-index one is
- * rethrown once every worker is done, so the error does not depend on
- * timing. Chromosomes after a recorded failure are skipped: they
- * cannot change which error is reported.
+ * rethrown once the stages are done, so the error does not depend on
+ * timing: chromosomes after a recorded stage-1 failure are skipped,
+ * stage 2 indexes only the chromosomes below the lowest stage-1
+ * failure and stops at its own first one.
  */
 void
 buildEachChromosome(
-    const std::vector<uint64_t> &sizes,
-    const std::vector<std::string> &names, int threads,
-    std::vector<ChromosomeBuildInfo> *build_info,
-    const std::function<ChromosomeBuildInfo(size_t)> &build_one)
+    const std::vector<uint64_t> &sizes, const index::IndexConfig &config,
+    int threads, std::vector<PreprocessedChromosome> &chromosomes,
+    BuildReport *report,
+    const std::function<ChromosomeBuildInfo(size_t)> &make_graph)
 {
     const size_t n = sizes.size();
     std::vector<size_t> order(n);
@@ -59,17 +66,15 @@ buildEachChromosome(
     std::vector<ChromosomeBuildInfo> info(n);
     std::vector<std::exception_ptr> errors(n);
     std::atomic<size_t> lowest_failure{n};
-    const int requested =
-        threads > 0 ? threads : util::ThreadPool::defaultThreads();
-    util::ThreadPool pool(
-        static_cast<int>(std::min(static_cast<size_t>(requested), n)));
+    util::ThreadPool pool(threads > 0 ? threads
+                                      : util::ThreadPool::defaultThreads());
     pool.parallelFor(n, 1, [&](size_t begin, size_t end, int) {
         for (size_t k = begin; k < end; ++k) {
             const size_t i = order[k];
             if (i > lowest_failure.load())
                 continue;
             try {
-                info[i] = build_one(i);
+                info[i] = make_graph(i);
             } catch (...) {
                 errors[i] = std::current_exception();
                 size_t seen = lowest_failure.load();
@@ -80,17 +85,34 @@ buildEachChromosome(
         }
     });
 
-    const size_t failed = lowest_failure.load();
+    size_t failed = lowest_failure.load();
+    index::IndexBuildTimes index_times;
+    for (size_t i = 0; i < failed; ++i) {
+        index::IndexBuildTimes times;
+        try {
+            chromosomes[i].index = index::MinimizerIndex::build(
+                chromosomes[i].graph, config, &pool, &times);
+        } catch (...) {
+            errors[i] = std::current_exception();
+            failed = i;
+            break;
+        }
+        index_times += times;
+    }
+
     if (failed < n) {
         try {
             std::rethrow_exception(errors[failed]);
         } catch (const InputError &error) {
-            throw InputError("chromosome '" + names[failed] +
+            throw InputError("chromosome '" + chromosomes[failed].name +
                              "': " + error.what());
         }
     }
-    if (build_info != nullptr)
-        build_info->insert(build_info->end(), info.begin(), info.end());
+    if (report != nullptr) {
+        report->chromosomes = std::move(info);
+        report->workers = pool.size();
+        report->index = index_times;
+    }
 }
 
 } // namespace
@@ -98,80 +120,76 @@ buildEachChromosome(
 PreprocessedReference
 PreprocessedReference::buildFromFiles(
     const std::string &fasta_path, const std::string &vcf_path,
-    const index::IndexConfig &index_config,
-    std::vector<ChromosomeBuildInfo> *build_info, int threads)
+    const index::IndexConfig &index_config, BuildReport *report,
+    int threads)
 {
     return buildFromRecords(io::readFastaFile(fasta_path),
                             io::readVcfFile(vcf_path), index_config,
-                            build_info, threads);
+                            report, threads);
 }
 
 PreprocessedReference
 PreprocessedReference::buildFromRecords(
     const std::vector<io::FastaRecord> &records,
     const std::vector<io::VcfRecord> &vcf,
-    const index::IndexConfig &index_config,
-    std::vector<ChromosomeBuildInfo> *build_info, int threads)
+    const index::IndexConfig &index_config, BuildReport *report,
+    int threads)
 {
     SEGRAM_CHECK(!records.empty(), "reference FASTA has no records");
     std::vector<uint64_t> sizes;
-    std::vector<std::string> names;
-    for (const auto &record : records) {
+    for (const auto &record : records)
         sizes.push_back(record.seq.size());
-        names.push_back(record.name);
-    }
+    const graph::VcfByChrom vcf_by_chrom(vcf);
 
     PreprocessedReference out;
     out.chromosomes_.resize(records.size());
-    buildEachChromosome(sizes, names, threads, build_info, [&](size_t i) {
-        const auto &record = records[i];
-        uint64_t dropped = 0;
-        const auto variants = graph::canonicalizeSet(
-            vcf, record.name, record.seq.size(), &dropped);
-        auto &chromosome = out.chromosomes_[i];
-        chromosome.name = record.name;
-        chromosome.graph = graph::buildGraph(record.seq, variants);
-        chromosome.index =
-            index::MinimizerIndex::build(chromosome.graph, index_config);
-        return ChromosomeBuildInfo{record.name, record.seq.size(),
-                                   variants.size(), dropped};
-    });
+    buildEachChromosome(
+        sizes, index_config, threads, out.chromosomes_, report,
+        [&](size_t i) {
+            const auto &record = records[i];
+            auto &chromosome = out.chromosomes_[i];
+            chromosome.name = record.name;
+            uint64_t dropped = 0;
+            const auto variants = graph::canonicalizeSet(
+                vcf_by_chrom.records(record.name),
+                record.seq.size(), &dropped);
+            chromosome.graph = graph::buildGraph(record.seq, variants);
+            return ChromosomeBuildInfo{record.name, record.seq.size(),
+                                       variants.size(), dropped};
+        });
     return out;
 }
 
 PreprocessedReference
-PreprocessedReference::buildFromGfa(
-    const std::string &gfa_path, const index::IndexConfig &index_config,
-    std::vector<ChromosomeBuildInfo> *build_info, int threads)
+PreprocessedReference::buildFromGfa(const std::string &gfa_path,
+                                    const index::IndexConfig &index_config,
+                                    BuildReport *report, int threads)
 {
     return buildFromGraphs(graph::importGfa(io::readGfaFile(gfa_path)),
-                           index_config, build_info, threads);
+                           index_config, report, threads);
 }
 
 PreprocessedReference
 PreprocessedReference::buildFromGraphs(
     std::vector<graph::ImportedChromosome> chromosomes,
-    const index::IndexConfig &index_config,
-    std::vector<ChromosomeBuildInfo> *build_info, int threads)
+    const index::IndexConfig &index_config, BuildReport *report,
+    int threads)
 {
     std::vector<uint64_t> sizes;
-    std::vector<std::string> names;
-    for (const auto &chromosome : chromosomes) {
+    for (const auto &chromosome : chromosomes)
         sizes.push_back(chromosome.graph.totalSeqLen());
-        names.push_back(chromosome.name);
-    }
 
     PreprocessedReference out;
     out.chromosomes_.resize(chromosomes.size());
-    buildEachChromosome(sizes, names, threads, build_info, [&](size_t i) {
-        auto &entry = out.chromosomes_[i];
-        entry.name = std::move(chromosomes[i].name);
-        entry.graph = std::move(chromosomes[i].graph);
-        entry.index =
-            index::MinimizerIndex::build(entry.graph, index_config);
-        return ChromosomeBuildInfo{entry.name, entry.graph.pathLength(),
-                                   0, 0};
-    });
+    buildEachChromosome(
+        sizes, index_config, threads, out.chromosomes_, report,
+        [&](size_t i) {
+            auto &entry = out.chromosomes_[i];
+            entry.name = std::move(chromosomes[i].name);
+            entry.graph = std::move(chromosomes[i].graph);
+            return ChromosomeBuildInfo{entry.name,
+                                       entry.graph.pathLength(), 0, 0};
+        });
     return out;
 }
 

@@ -54,6 +54,18 @@ struct ChromosomeBuildInfo
     bool operator==(const ChromosomeBuildInfo &) const = default;
 };
 
+/** What one reference build did and where its time went. */
+struct BuildReport
+{
+    /** One row per chromosome, in reference order. */
+    std::vector<ChromosomeBuildInfo> chromosomes;
+    /** Workers of the build's pool. */
+    int workers = 0;
+    /** The index stage, summed over chromosomes (they are indexed one
+     *  after another, each on the whole pool). */
+    index::IndexBuildTimes index;
+};
+
 /**
  * The pre-processed reference the mapping engines run against. Movable,
  * not copyable. When loaded from a pack, the mapped file is owned here
@@ -75,7 +87,7 @@ class PreprocessedReference
      * @param fasta_path   Reference FASTA.
      * @param vcf_path     Variants VCF.
      * @param index_config Index parameters (bucketBits, sketch, ...).
-     * @param[out] build_info Optional per-chromosome report.
+     * @param[out] report  Optional build report.
      * @param threads      Build workers; 0 = ThreadPool::defaultThreads().
      * @throws InputError on unreadable/invalid inputs.
      */
@@ -83,26 +95,29 @@ class PreprocessedReference
     buildFromFiles(const std::string &fasta_path,
                    const std::string &vcf_path,
                    const index::IndexConfig &index_config = {},
-                   std::vector<ChromosomeBuildInfo> *build_info = nullptr,
-                   int threads = 0);
+                   BuildReport *report = nullptr, int threads = 0);
 
     /**
      * Full pre-processing from parsed inputs: one topologically sorted
      * graph and one minimizer index per FASTA record (the paper builds
      * "one graph for each chromosome").
      *
-     * Chromosomes are built in parallel on min(@p threads, records)
-     * workers, longest first; at most that many are half-built at
-     * once. Each lands in its own slot, so the reference, the
-     * @p build_info rows and a saved pack are identical at every
-     * thread count. When chromosomes fail, the one with the lowest
-     * index is reported, as an InputError prefixed with
-     * "chromosome '<name>': " — again the same at every thread count.
+     * The build runs in two stages on one pool of @p threads workers.
+     * First every chromosome's variants are canonicalized (the VCF is
+     * grouped by CHROM once) and its graph built, one chromosome per
+     * worker, longest first. Then the chromosomes are indexed one after
+     * another, each with the whole pool (MinimizerIndex::build). Each
+     * chromosome lands in its own slot, so the reference, the
+     * @p report rows and a saved pack are identical at every thread
+     * count. When chromosomes fail, the one with the lowest index is
+     * reported, as an InputError prefixed with "chromosome '<name>': "
+     * — again the same at every thread count — and @p report is left
+     * untouched.
      *
      * @param records      Reference FASTA records, in output order.
      * @param vcf          Variants of every chromosome.
      * @param index_config Index parameters (bucketBits, sketch, ...).
-     * @param[out] build_info Optional per-chromosome report (appended).
+     * @param[out] report  Optional build report.
      * @param threads      Build workers; 0 = ThreadPool::defaultThreads().
      * @throws InputError on invalid inputs.
      */
@@ -110,8 +125,7 @@ class PreprocessedReference
     buildFromRecords(const std::vector<io::FastaRecord> &records,
                      const std::vector<io::VcfRecord> &vcf,
                      const index::IndexConfig &index_config = {},
-                     std::vector<ChromosomeBuildInfo> *build_info = nullptr,
-                     int threads = 0);
+                     BuildReport *report = nullptr, int threads = 0);
 
     /**
      * Full pre-processing from an imported GFA graph: reads the GFA,
@@ -124,29 +138,27 @@ class PreprocessedReference
      *
      * @param gfa_path     Graph in GFA v1 (S/L and optional P/W lines).
      * @param index_config Index parameters (bucketBits, sketch, ...).
-     * @param[out] build_info Optional per-chromosome report
-     *                        (referenceBases = reference-path length;
-     *                        the variant counters stay zero — a GFA
-     *                        carries its variants pre-applied).
+     * @param[out] report  Optional build report (referenceBases =
+     *                     reference-path length; the variant counters
+     *                     stay zero — a GFA carries its variants
+     *                     pre-applied).
      * @param threads      Index workers; 0 = ThreadPool::defaultThreads().
      * @throws InputError on unreadable/malformed/cyclic inputs.
      */
     static PreprocessedReference
     buildFromGfa(const std::string &gfa_path,
                  const index::IndexConfig &index_config = {},
-                 std::vector<ChromosomeBuildInfo> *build_info = nullptr,
-                 int threads = 0);
+                 BuildReport *report = nullptr, int threads = 0);
 
     /**
      * Indexes already-built chromosome graphs (graph::importGfa's
-     * output), in parallel with the same scheduling, determinism and
-     * error rules as buildFromRecords.
+     * output) with the same pool, index stage, determinism and error
+     * rules as buildFromRecords.
      */
     static PreprocessedReference
     buildFromGraphs(std::vector<graph::ImportedChromosome> chromosomes,
                     const index::IndexConfig &index_config = {},
-                    std::vector<ChromosomeBuildInfo> *build_info = nullptr,
-                    int threads = 0);
+                    BuildReport *report = nullptr, int threads = 0);
 
     /**
      * Loads a `.segram` pack by memory-mapping it; every table borrows

@@ -38,12 +38,36 @@ canonicalizeSet(const std::vector<io::VcfRecord> &records,
                 const std::string &chrom, uint64_t ref_len,
                 uint64_t *dropped)
 {
+    std::vector<const io::VcfRecord *> selected;
+    for (const auto &record : records)
+        if (record.chrom == chrom)
+            selected.push_back(&record);
+    return canonicalizeSet(selected, ref_len, dropped);
+}
+
+VcfByChrom::VcfByChrom(const std::vector<io::VcfRecord> &records)
+{
+    for (const auto &record : records)
+        groups_[record.chrom].push_back(&record);
+}
+
+std::span<const io::VcfRecord *const>
+VcfByChrom::records(std::string_view chrom) const
+{
+    const auto group = groups_.find(chrom);
+    if (group == groups_.end())
+        return {};
+    return group->second;
+}
+
+std::vector<Variant>
+canonicalizeSet(std::span<const io::VcfRecord *const> records,
+                uint64_t ref_len, uint64_t *dropped)
+{
     uint64_t drop_count = 0;
     std::vector<Variant> variants;
-    for (const auto &record : records) {
-        if (record.chrom != chrom)
-            continue;
-        Variant variant = canonicalize(record);
+    for (const io::VcfRecord *record : records) {
+        Variant variant = canonicalize(*record);
         if (variant.ref.empty() && variant.alt.empty()) {
             ++drop_count; // no-op record (REF == ALT)
             continue;

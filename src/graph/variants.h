@@ -12,7 +12,10 @@
 #define SEGRAM_SRC_GRAPH_VARIANTS_H
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/io/vcf.h"
@@ -83,6 +86,35 @@ std::vector<Variant> canonicalizeSet(const std::vector<io::VcfRecord> &records,
                                      const std::string &chrom,
                                      uint64_t ref_len,
                                      uint64_t *dropped = nullptr);
+
+/**
+ * canonicalizeSet() over records that all belong to the chromosome:
+ * the same variants and drop count as the CHROM-filtering overload,
+ * given the chromosome's records in file order.
+ */
+std::vector<Variant>
+canonicalizeSet(std::span<const io::VcfRecord *const> records,
+                uint64_t ref_len, uint64_t *dropped = nullptr);
+
+/**
+ * VCF records grouped by CHROM in one pass, each group in file order,
+ * so that a multi-chromosome build reads the VCF once rather than once
+ * per chromosome. Holds pointers into (and views of) the records:
+ * they must outlive it.
+ */
+class VcfByChrom
+{
+  public:
+    explicit VcfByChrom(const std::vector<io::VcfRecord> &records);
+
+    /** @return The records of @p chrom in file order; empty if none. */
+    std::span<const io::VcfRecord *const>
+    records(std::string_view chrom) const;
+
+  private:
+    std::unordered_map<std::string_view, std::vector<const io::VcfRecord *>>
+        groups_;
+};
 
 /** @return @p variant re-encoded as a (padded) VCF record. */
 io::VcfRecord toVcfRecord(const Variant &variant, const std::string &chrom,

@@ -28,6 +28,11 @@
 #include "src/seed/minimizer.h"
 #include "src/util/table_storage.h"
 
+namespace segram::util
+{
+class ThreadPool;
+} // namespace segram::util
+
 namespace segram::index
 {
 
@@ -96,6 +101,57 @@ struct IndexStats
     }
 };
 
+/** Wall seconds of the three steps of one MinimizerIndex::build. */
+struct IndexBuildTimes
+{
+    double hitsSec = 0;   ///< sketching every node into (hash, location) hits
+    double sortSec = 0;   ///< ordering the hits by (bucket, hash, location)
+    double tablesSec = 0; ///< the three levels, threshold and statistics
+
+    IndexBuildTimes &
+    operator+=(const IndexBuildTimes &other)
+    {
+        hitsSec += other.hitsSec;
+        sortSec += other.sortSec;
+        tablesSec += other.tablesSec;
+        return *this;
+    }
+};
+
+/**
+ * One minimizer occurrence: the unit the index build sorts. Trivially
+ * default-constructible, so the build's hit buffers are first touched
+ * by the parallel passes that fill them, not zeroed on one thread.
+ */
+struct IndexHit
+{
+    uint64_t hash;
+    graph::NodeId node;
+    uint32_t offset;
+
+    bool operator==(const IndexHit &) const = default;
+};
+
+/**
+ * Sorts @p hits into the index's level order, (bucket, hash,
+ * location), given that they arrive in location order (as the build
+ * collects them). The key is the hash rotated within its 2k-bit domain
+ * so that its bucketBits low bits (the bucket) lead; when bucketBits
+ * >= 2k the bucket is the whole hash and the key is the hash itself. A
+ * stable radix on that key (util::radixSortStable) then keeps equal
+ * hashes in location order without ever comparing locations.
+ *
+ * @param scratch Ping-pong buffer of at least hits.size() elements.
+ * @param pool    Runs the radix passes when set; the caller must not
+ *                be one of its workers.
+ * @return The span, @p hits or the front of @p scratch, holding the
+ *         sorted hits.
+ */
+std::span<IndexHit> sortHits(std::span<IndexHit> hits,
+                             std::span<IndexHit> scratch,
+                             const IndexConfig &config,
+                             util::ThreadPool *pool = nullptr);
+
 /**
  * Occurrence-frequency distribution of the distinct minimizers, for
  * data-driven cap tuning (`segram index --stats`). Built by
@@ -141,11 +197,19 @@ class MinimizerIndex
     /**
      * Builds the index of @p graph under @p config.
      *
+     * With a @p pool, hits are collected over contiguous node ranges
+     * and sorted on the pool; the tables are identical to a build
+     * without one, at every pool size. The call blocks on the pool, so
+     * it must not come from one of the pool's workers.
+     *
+     * @param[out] times Optional wall-time split of the build.
      * @throws InputError for invalid sketch parameters or bucketBits
      *         outside [1, 32].
      */
     static MinimizerIndex build(const graph::GenomeGraph &graph,
-                                const IndexConfig &config);
+                                const IndexConfig &config,
+                                util::ThreadPool *pool = nullptr,
+                                IndexBuildTimes *times = nullptr);
 
     /**
      * @return The seed locations of @p hash, empty when the minimizer is
@@ -211,6 +275,13 @@ class MinimizerIndex
                                             uint64_t hash) const;
 
     uint64_t bucketOf(uint64_t hash) const;
+
+    /**
+     * Fills the three levels, the frequency threshold and the
+     * statistics from @p sorted, the hits in level order.
+     */
+    void buildTables(std::span<const IndexHit> sorted,
+                     util::ThreadPool *pool);
 
     seed::SketchConfig sketch_;
     int bucket_bits_ = 0;

@@ -1,7 +1,8 @@
 #include "src/seed/chaining.h"
 
 #include <algorithm>
-#include <array>
+
+#include "src/util/radix_sort.h"
 
 namespace segram::seed
 {
@@ -65,46 +66,22 @@ chainSeeds(std::span<const SeedHit> hits, const ChainConfig &config,
             keyed[j] = cur;
         }
     } else {
-        // Bucketed LSD radix, stable, over the secondary key (refPos)
-        // first and the primary key (diagonal) second — a stable
-        // lexicographic (diagonal, refPos) sort. Constant bytes are
-        // detected up front and skipped: hits of one read cluster
-        // tightly, so usually only a few of the 16 byte passes run.
+        // Stable LSD radix over the secondary key (refPos) first and
+        // the primary key (diagonal) second: a stable lexicographic
+        // (diagonal, refPos) sort. Hits of one read cluster tightly,
+        // so usually only a few of the 16 byte passes run.
         std::vector<KeyedHit> &tmp = scratch.keyedTmp_;
         tmp.resize(keyed.size());
-        uint64_t ref_diff = 0;
-        uint64_t key_diff = 0;
-        for (const KeyedHit &kh : keyed) {
-            ref_diff |= kh.hit.refPos ^ keyed[0].hit.refPos;
-            key_diff |= kh.key ^ keyed[0].key;
-        }
-        KeyedHit *src = keyed.data();
-        KeyedHit *dst = tmp.data();
-        const size_t count = keyed.size();
-        const auto radixPasses = [&](auto field, uint64_t diff) {
-            for (int shift = 0; shift < 64; shift += 8) {
-                if (((diff >> shift) & 0xff) == 0)
-                    continue; // this byte is identical in every key
-                std::array<size_t, 256> buckets{};
-                for (size_t i = 0; i < count; ++i)
-                    ++buckets[(field(src[i]) >> shift) & 0xff];
-                size_t offset = 0;
-                for (size_t b = 0; b < 256; ++b) {
-                    const size_t n = buckets[b];
-                    buckets[b] = offset;
-                    offset += n;
-                }
-                for (size_t i = 0; i < count; ++i)
-                    dst[buckets[(field(src[i]) >> shift) & 0xff]++] =
-                        src[i];
-                std::swap(src, dst);
-            }
-        };
-        radixPasses([](const KeyedHit &kh) { return kh.hit.refPos; },
-                    ref_diff);
-        radixPasses([](const KeyedHit &kh) { return kh.key; }, key_diff);
-        if (src != keyed.data())
-            std::copy(src, src + count, keyed.data());
+        const std::span<KeyedHit> by_ref = util::radixSortStable(
+            std::span<KeyedHit>(keyed), std::span<KeyedHit>(tmp),
+            [](const KeyedHit &kh) { return kh.hit.refPos; });
+        const std::span<KeyedHit> other(
+            by_ref.data() == keyed.data() ? tmp.data() : keyed.data(),
+            keyed.size());
+        const std::span<KeyedHit> sorted = util::radixSortStable(
+            by_ref, other, [](const KeyedHit &kh) { return kh.key; });
+        if (sorted.data() != keyed.data())
+            std::copy(sorted.begin(), sorted.end(), keyed.begin());
     }
 
     // Scan the sorted hits, growing chains in the reusable pool. Pool

@@ -14,6 +14,7 @@
 #ifndef SEGRAM_SRC_UTIL_THREAD_POOL_H
 #define SEGRAM_SRC_UTIL_THREAD_POOL_H
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -196,6 +197,58 @@ class ThreadPool
     uint64_t busyNs_ SEGRAM_GUARDED_BY(mutex_) = 0;
     bool stop_ SEGRAM_GUARDED_BY(mutex_) = false;
 };
+
+/**
+ * A cut of the index range [0, size) into `count` contiguous blocks of
+ * about equal length, for a pass that runs one block per pool item.
+ * Without a pool, or when the range is short, it is one block.
+ */
+struct BlockSplit
+{
+    /** Smallest block worth a pool item: below it a pass over
+     *  16-byte elements costs less than its dispatch. */
+    static constexpr size_t kMinBlock = size_t{1} << 14;
+    /** Blocks per worker, so that a worker slowed by another tenant
+     *  holds up a pass by a fraction of its share, not all of it. */
+    static constexpr size_t kBlocksPerWorker = 4;
+
+    BlockSplit(size_t size, const ThreadPool *pool)
+        : size(size),
+          count(pool == nullptr
+                    ? 1
+                    : std::clamp<size_t>(
+                          size / kMinBlock, 1,
+                          kBlocksPerWorker *
+                              static_cast<size_t>(pool->size())))
+    {
+    }
+
+    size_t begin(size_t block) const { return size * block / count; }
+    size_t end(size_t block) const { return begin(block + 1); }
+
+    size_t size;
+    size_t count;
+};
+
+/**
+ * Runs @p fn(item) for every item < @p num_items: as one steal job on
+ * @p pool when it is set and there are two items or more, in order on
+ * the calling thread otherwise. The call blocks, so it must not come
+ * from a worker of @p pool (a worker waiting on its own pool can
+ * deadlock it).
+ */
+template <typename Fn>
+void
+forEachItem(ThreadPool *pool, size_t num_items, Fn &&fn)
+{
+    if (pool == nullptr || num_items < 2) {
+        for (size_t item = 0; item < num_items; ++item)
+            fn(item);
+        return;
+    }
+    pool->parallelSteal(num_items,
+                        [&fn](size_t item, int) { fn(item); });
+}
 
 } // namespace segram::util
 

@@ -248,8 +248,9 @@ test -s "$tmp/m.paf" || {
 echo "cli multi-chromosome simulate OK"
 
 # --- parallel index build: byte-identical packs at every --threads ---
-# Both graph sources; the build runs min(threads, chromosomes) workers
-# and reports its read / build / write split.
+# Both graph sources; the build runs one pool of --threads workers (the
+# graphs one chromosome per worker, then each index on the whole pool)
+# and reports its read / build / write split and where the build went.
 "$bin" construct "$tmp/m.fa" "$tmp/m.vcf" "$tmp/m.gfa" 2> /dev/null
 for threads in 1 2 4; do
     "$bin" index --threads "$threads" "$tmp/m.fa" "$tmp/m.vcf" \
@@ -276,12 +277,45 @@ grep -q "read inputs .* s, build .* s on 1 worker, write pack .* s" \
     cat "$tmp/mindex1.log"
     exit 1
 }
-grep -q "on 3 workers" "$tmp/mindex4.log" || {
-    echo "FAIL: index --threads 4 on 3 chromosomes should use 3 workers"
+split_re="build split: graphs .* s, hits .* s, sort .* s, tables .* s"
+grep -q "$split_re; peak RSS .* MiB" "$tmp/mindex1.log" || {
+    echo "FAIL: index printed no graphs/hits/sort/tables split"
+    cat "$tmp/mindex1.log"
+    exit 1
+}
+grep -q "on 4 workers" "$tmp/mindex4.log" || {
+    echo "FAIL: index --threads 4 on 3 chromosomes should use 4 workers"
     cat "$tmp/mindex4.log"
     exit 1
 }
 echo "cli parallel index OK (identical packs at 1/2/4 threads)"
+
+# --- one chromosome: the index itself runs on the pool ---
+# A single chromosome gains nothing from per-chromosome parallelism, so
+# these packs exercise the node-range hit collection and the pooled
+# radix sort; they must be byte-identical at every count, both routes.
+"$bin" simulate "$tmp/one" 300000 10 150 0.03 > /dev/null 2>&1
+"$bin" construct "$tmp/one.fa" "$tmp/one.vcf" "$tmp/one.gfa" 2> /dev/null
+for threads in 1 2 3 4 8 default; do
+    flag="--threads $threads"
+    test "$threads" = default && flag=""
+    # shellcheck disable=SC2086 # $flag is empty or two words
+    "$bin" index $flag "$tmp/one.fa" "$tmp/one.vcf" \
+        "$tmp/one$threads.segram" 2> /dev/null
+    # shellcheck disable=SC2086
+    "$bin" index $flag "$tmp/one.gfa" "$tmp/onegfa$threads.segram" \
+        2> /dev/null
+    cmp "$tmp/one1.segram" "$tmp/one$threads.segram" || {
+        echo "FAIL: one-chromosome pack differs at index --threads $threads"
+        exit 1
+    }
+    cmp "$tmp/onegfa1.segram" "$tmp/onegfa$threads.segram" || {
+        echo "FAIL: one-chromosome GFA pack differs at index" \
+             "--threads $threads"
+        exit 1
+    }
+done
+echo "cli one-chromosome index OK (identical packs at 1/2/3/4/8/default)"
 
 # --- baselines on the one driver: multi-chromosome, every thread count ---
 # The baselines shard per chromosome on the same (read-chunk x shard)

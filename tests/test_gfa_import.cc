@@ -226,9 +226,10 @@ TEST(BuildFromGfa, ReadsFileAndReportsBuildInfo)
 
     index::IndexConfig config;
     config.bucketBits = 8;
-    std::vector<core::ChromosomeBuildInfo> info;
+    core::BuildReport report;
     const auto reference =
-        core::PreprocessedReference::buildFromGfa(gfa_path, config, &info);
+        core::PreprocessedReference::buildFromGfa(gfa_path, config, &report);
+    const auto &info = report.chromosomes;
     ASSERT_EQ(reference.numChromosomes(), 1u);
     EXPECT_EQ(reference.name(0), "chrZ");
     EXPECT_EQ(reference.graph(0).totalSeqLen(), g.totalSeqLen());

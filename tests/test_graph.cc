@@ -77,6 +77,41 @@ TEST(Variants, CanonicalizeSetDropsOverlapsAndSorts)
     EXPECT_TRUE(graph.isTopologicallySorted());
 }
 
+TEST(Variants, GroupedRecordsCanonicalizeLikeTheFilteringScan)
+{
+    // Interleaved chromosomes, overlaps and out-of-range records inside
+    // each group, and records of chr9, which the FASTA does not hold.
+    const std::vector<io::VcfRecord> records = {
+        {"chr2", 30, ".", "A", "G"},  {"chr1", 20, ".", "ACGT", "A"},
+        {"chr9", 4, ".", "C", "T"},   {"chr2", 10, ".", "AC", "A"},
+        {"chr1", 21, ".", "C", "T"},  {"chr2", 11, ".", "C", "G"},
+        {"chr1", 5, ".", "A", "G"},   {"chr3", 2, ".", "G", "GTT"},
+        {"chr2", 10, ".", "A", "T"},  {"chr1", 99, ".", "AC", "A"},
+        {"chr9", 1, ".", "A", "G"},   {"chr1", 8, ".", "T", "T"},
+        {"chr3", 2, ".", "G", "GA"},  {"chr2", 40, ".", "TT", "T"},
+    };
+    const VcfByChrom groups(records);
+    for (const std::string chrom : {"chr1", "chr2", "chr3", "chr4"}) {
+        SCOPED_TRACE(chrom);
+        uint64_t dropped_scan = 0;
+        uint64_t dropped_grouped = 0;
+        const auto scanned =
+            canonicalizeSet(records, chrom, 100, &dropped_scan);
+        const auto grouped = canonicalizeSet(groups.records(chrom), 100,
+                                             &dropped_grouped);
+        EXPECT_EQ(grouped, scanned);
+        EXPECT_EQ(dropped_grouped, dropped_scan);
+    }
+    // A group keeps file order; a chromosome without records has none.
+    const auto chr2 = groups.records("chr2");
+    ASSERT_EQ(chr2.size(), 5u);
+    EXPECT_EQ(chr2[0], &records[0]);
+    EXPECT_EQ(chr2[4], &records[13]);
+    EXPECT_EQ(groups.records("chr9").size(), 2u);
+    EXPECT_TRUE(groups.records("chr4").empty());
+    EXPECT_TRUE(canonicalizeSet(groups.records("chr4"), 100).empty());
+}
+
 TEST(Variants, VcfRoundTripThroughCanonicalForm)
 {
     const std::string reference = "ACGTACGTACGT";

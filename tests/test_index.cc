@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <span>
 #include <string>
@@ -23,6 +25,7 @@
 #include "src/sim/genome_sim.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace segram::index
 {
@@ -231,6 +234,137 @@ TEST(MinimizerIndex, FrequencyThresholdDiscardsTopFraction)
             ++above;
     }
     EXPECT_LE(above, naive.size() / 100 + 1);
+}
+
+/**
+ * @p count hits in location order, as the build collects them: spread
+ * over many nodes, half drawn from two dozen hot hashes (heavy
+ * duplicates), the rest uniform over the 2k-bit hash domain.
+ */
+std::vector<IndexHit>
+adversarialHits(size_t count, int k, uint64_t seed)
+{
+    Rng rng(seed);
+    const uint64_t mask = seed::SketchConfig{k, 1}.hashMask();
+    std::vector<uint64_t> hot(24);
+    for (uint64_t &hash : hot)
+        hash = rng.nextU64() & mask;
+    std::vector<IndexHit> hits;
+    hits.reserve(count);
+    graph::NodeId node = 0;
+    uint32_t offset = 0;
+    for (size_t i = 0; i < count; ++i) {
+        if (rng.nextBelow(4) == 0) {
+            ++node;
+            offset = 0;
+        }
+        offset += 1 + static_cast<uint32_t>(rng.nextBelow(8));
+        const uint64_t hash = rng.nextBelow(2) == 0
+                                  ? hot[rng.nextBelow(hot.size())]
+                                  : rng.nextU64() & mask;
+        hits.push_back({hash, node, offset});
+    }
+    return hits;
+}
+
+TEST(SortHits, RadixOrderEqualsTheComparatorOrder)
+{
+    // The order the build used before its radix sort: a comparison
+    // sort on (bucket, hash, location).
+    util::ThreadPool pool(3);
+    for (const int k : {5, 15, 31}) {
+        for (const int bucket_bits : {1, 16, 32}) {
+            SCOPED_TRACE("k " + std::to_string(k) + ", bucketBits " +
+                         std::to_string(bucket_bits));
+            IndexConfig config;
+            config.sketch.k = k;
+            config.bucketBits = bucket_bits;
+            const auto hits = adversarialHits(
+                100'000, k, static_cast<uint64_t>(k * 64 + bucket_bits));
+            const uint64_t bucket_mask =
+                (uint64_t{1} << bucket_bits) - 1;
+            auto expect = hits;
+            std::sort(expect.begin(), expect.end(),
+                      [&](const IndexHit &a, const IndexHit &b) {
+                          const uint64_t bucket_a = a.hash & bucket_mask;
+                          const uint64_t bucket_b = b.hash & bucket_mask;
+                          if (bucket_a != bucket_b)
+                              return bucket_a < bucket_b;
+                          if (a.hash != b.hash)
+                              return a.hash < b.hash;
+                          return SeedLocation{a.node, a.offset} <
+                                 SeedLocation{b.node, b.offset};
+                      });
+            for (util::ThreadPool *on : {(util::ThreadPool *)nullptr,
+                                         &pool}) {
+                SCOPED_TRACE(on == nullptr ? "serial" : "pooled");
+                auto work = hits;
+                std::vector<IndexHit> scratch(work.size());
+                const auto sorted = sortHits(work, scratch, config, on);
+                EXPECT_TRUE(std::ranges::equal(sorted, expect));
+            }
+        }
+    }
+}
+
+/** The bytes of a one-chromosome pack of @p graph and @p index. */
+std::string
+packBytes(const graph::GenomeGraph &graph, MinimizerIndex index)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("segram_index_pool_test_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string pack = (dir / "ref.segram").string();
+    {
+        std::vector<core::PreprocessedChromosome> chromosomes;
+        chromosomes.push_back({"chr1", graph::GenomeGraph(graph),
+                               std::move(index)});
+        core::PreprocessedReference(std::move(chromosomes)).save(pack);
+    }
+    std::ifstream in(pack, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::filesystem::remove_all(dir);
+    return bytes;
+}
+
+TEST(MinimizerIndex, BuildIsIdenticalAtEveryPoolSize)
+{
+    // 40 bp nodes spread the hits over ~10,000 nodes; k = 5 makes heavy
+    // duplicate hashes and a bucket count past the 2k-bit domain.
+    const auto graph = randomGraph(400'000, 9, 40);
+    IndexConfig small_k;
+    small_k.sketch = {5, 4};
+    small_k.bucketBits = 16;
+    small_k.discardTopFraction = 0.05;
+    for (const IndexConfig &config : {IndexConfig{}, small_k}) {
+        SCOPED_TRACE("k " + std::to_string(config.sketch.k) +
+                     ", bucketBits " + std::to_string(config.bucketBits));
+        const auto expect = MinimizerIndex::build(graph, config);
+        ASSERT_GT(expect.stats().numLocations,
+                  2 * util::BlockSplit::kMinBlock);
+        const std::string expect_pack = packBytes(graph, expect);
+        for (const int workers : {1, 2, 3, 4, 8}) {
+            SCOPED_TRACE("workers " + std::to_string(workers));
+            util::ThreadPool pool(workers);
+            IndexBuildTimes times;
+            const auto got =
+                MinimizerIndex::build(graph, config, &pool, &times);
+            EXPECT_EQ(got.frequencyThreshold(), expect.frequencyThreshold());
+            const IndexStats &a = got.stats();
+            const IndexStats &b = expect.stats();
+            EXPECT_EQ(a.numDistinctMinimizers, b.numDistinctMinimizers);
+            EXPECT_EQ(a.numLocations, b.numLocations);
+            EXPECT_EQ(a.maxMinimizersPerBucket, b.maxMinimizersPerBucket);
+            EXPECT_EQ(a.maxLocationsPerMinimizer,
+                      b.maxLocationsPerMinimizer);
+            EXPECT_EQ(a.totalBytes(), b.totalBytes());
+            EXPECT_TRUE(packBytes(graph, got) == expect_pack)
+                << "level tables differ";
+            EXPECT_GE(times.hitsSec, 0.0);
+        }
+    }
 }
 
 TEST(MinimizerIndex, RejectsBadConfig)

@@ -26,6 +26,7 @@
 #include "src/sim/dataset.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace
 {
@@ -113,8 +114,12 @@ class ParallelBuildTest : public ::testing::Test
         std::vector<core::ChromosomeBuildInfo> first_info;
         for (const int threads : {1, 2, 4, 0}) {
             SCOPED_TRACE("threads " + std::to_string(threads));
-            std::vector<core::ChromosomeBuildInfo> info;
-            const auto reference = build(&info, threads);
+            core::BuildReport report;
+            const auto reference = build(&report, threads);
+            const auto &info = report.chromosomes;
+            EXPECT_EQ(report.workers,
+                      threads > 0 ? threads
+                                  : util::ThreadPool::defaultThreads());
             ASSERT_EQ(reference.numChromosomes(), names_.size());
             ASSERT_EQ(info.size(), names_.size());
             for (size_t i = 0; i < names_.size(); ++i) {
@@ -142,18 +147,18 @@ class ParallelBuildTest : public ::testing::Test
 TEST_F(ParallelBuildTest, FilesRouteIsIdenticalAtEveryThreadCount)
 {
     expectIdenticalAtEveryThreadCount(
-        [&](std::vector<core::ChromosomeBuildInfo> *info, int threads) {
+        [&](core::BuildReport *report, int threads) {
             return core::PreprocessedReference::buildFromFiles(
-                path("ref.fa"), path("ref.vcf"), config_, info, threads);
+                path("ref.fa"), path("ref.vcf"), config_, report, threads);
         });
 }
 
 TEST_F(ParallelBuildTest, GfaRouteIsIdenticalAtEveryThreadCount)
 {
     expectIdenticalAtEveryThreadCount(
-        [&](std::vector<core::ChromosomeBuildInfo> *info, int threads) {
+        [&](core::BuildReport *report, int threads) {
             return core::PreprocessedReference::buildFromGfa(
-                path("ref.gfa"), config_, info, threads);
+                path("ref.gfa"), config_, report, threads);
         });
 }
 
@@ -179,10 +184,10 @@ TEST(ParallelBuild, ReportsTheLowestIndexFailureAtEveryThreadCount)
     for (const int threads : {1, 2, 4}) {
         for (int trial = 0; trial < 3; ++trial) {
             SCOPED_TRACE("threads " + std::to_string(threads));
-            std::vector<core::ChromosomeBuildInfo> info;
+            core::BuildReport report;
             try {
                 core::PreprocessedReference::buildFromRecords(
-                    records, {}, {}, &info, threads);
+                    records, {}, {}, &report, threads);
                 ADD_FAILURE() << "a build with invalid bases succeeded";
             } catch (const InputError &error) {
                 const std::string message = error.what();
@@ -192,7 +197,7 @@ TEST(ParallelBuild, ReportsTheLowestIndexFailureAtEveryThreadCount)
                           std::string::npos)
                     << message;
             }
-            EXPECT_TRUE(info.empty());
+            EXPECT_TRUE(report.chromosomes.empty());
         }
     }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <set>
@@ -435,6 +436,87 @@ TEST(ChainSeeds, ScratchOverloadMatchesConvenienceOverload)
                 << "trial " << trial << ", chain " << c;
             EXPECT_EQ(expect[c].hits, got[c].hits)
                 << "trial " << trial << ", chain " << c;
+        }
+    }
+}
+
+/**
+ * chainSeeds by its definition: a comparison sort of the hits by
+ * (diagonal, refPos), the same chain scan, and the same chain order.
+ */
+std::vector<Chain>
+chainSeedsByComparison(std::vector<SeedHit> hits, const ChainConfig &config)
+{
+    const auto diagonal = [](const SeedHit &hit) {
+        return hit.refPos + (uint64_t{1} << 32) - hit.readPos;
+    };
+    std::sort(hits.begin(), hits.end(),
+              [&](const SeedHit &a, const SeedHit &b) {
+                  if (diagonal(a) != diagonal(b))
+                      return diagonal(a) < diagonal(b);
+                  return a.refPos < b.refPos;
+              });
+    std::vector<Chain> chains;
+    for (const SeedHit &hit : hits) {
+        bool extend = !chains.empty();
+        if (extend) {
+            const SeedHit &prev = chains.back().hits.back();
+            extend = diagonal(hit) - diagonal(prev) <= config.diagonalBand &&
+                     hit.refPos >= prev.refPos &&
+                     hit.refPos - prev.refPos <= config.maxGap;
+        }
+        if (!extend)
+            chains.emplace_back();
+        chains.back().hits.push_back(hit);
+        chains.back().score = static_cast<int>(chains.back().hits.size());
+    }
+    std::sort(chains.begin(), chains.end(),
+              [](const Chain &a, const Chain &b) {
+                  if (a.score != b.score)
+                      return a.score > b.score;
+                  if (a.refStart() != b.refStart())
+                      return a.refStart() < b.refStart();
+                  return a.hits.front().readPos < b.hits.front().readPos;
+              });
+    if (config.maxChains > 0 &&
+        chains.size() > static_cast<size_t>(config.maxChains))
+        chains.resize(static_cast<size_t>(config.maxChains));
+    return chains;
+}
+
+TEST(ChainSeeds, RadixSortMatchesTheComparisonOrder)
+{
+    // Hit counts on both sides of the 32-hit insertion-sort cutoff,
+    // with repeated hits and reference spans from a few bases to 2^40,
+    // so every byte of both radix keys gets a pass somewhere.
+    Rng rng(2024);
+    ChainScratch scratch;
+    for (const size_t count : {1, 2, 31, 32, 33, 34, 100, 257, 1000}) {
+        for (const uint64_t span :
+             {uint64_t{64}, uint64_t{5'000}, uint64_t{1} << 40}) {
+            SCOPED_TRACE("count " + std::to_string(count) + ", span " +
+                         std::to_string(span));
+            std::vector<SeedHit> hits;
+            for (size_t i = 0; i < count; ++i) {
+                if (!hits.empty() && rng.nextBelow(8) == 0) {
+                    hits.push_back(hits[rng.nextBelow(hits.size())]);
+                    continue;
+                }
+                hits.push_back(
+                    {rng.nextBelow(span),
+                     static_cast<uint32_t>(rng.nextBelow(20'000))});
+            }
+            ChainConfig config;
+            config.diagonalBand = 1 + rng.nextBelow(256);
+            config.maxGap = 1 + rng.nextBelow(span);
+            const auto expect = chainSeedsByComparison(hits, config);
+            const auto got = chainSeeds(std::span<const SeedHit>(hits),
+                                        config, scratch);
+            ASSERT_EQ(got.size(), expect.size());
+            for (size_t c = 0; c < expect.size(); ++c) {
+                EXPECT_EQ(got[c].score, expect[c].score) << "chain " << c;
+                EXPECT_EQ(got[c].hits, expect[c].hits) << "chain " << c;
+            }
         }
     }
 }

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit and property tests for the util substrate: bitvectors, DNA
- * codes, packed sequences, the invertible hash, CIGARs and the RNG.
+ * codes, packed sequences, the invertible hash, CIGARs, the RNG and
+ * the radix sort.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,9 +17,11 @@
 #include "src/util/dna.h"
 #include "src/util/hash.h"
 #include "src/util/packed_seq.h"
+#include "src/util/radix_sort.h"
 #include "src/util/rng.h"
 #include "src/util/table_storage.h"
 #include "src/util/stats.h"
+#include "src/util/thread_pool.h"
 
 namespace segram
 {
@@ -293,6 +297,52 @@ TEST(Stats, MeanGeomeanPercentile)
     EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
     EXPECT_DOUBLE_EQ(percentile({5.0, 1.0, 3.0}, 0.5), 3.0);
     EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
+}
+
+TEST(RadixSort, StableAndTheSameWithOrWithoutAPool)
+{
+    // Each item carries its input index, so stability shows. Keys
+    // repeat heavily, and the mask leaves whole bytes constant, which
+    // the sort skips.
+    struct Item
+    {
+        uint64_t key;
+        uint64_t index;
+
+        bool operator==(const Item &) const = default;
+    };
+    Rng rng(3);
+    util::ThreadPool one(1);
+    util::ThreadPool three(3);
+    util::ThreadPool eight(8);
+    for (const size_t n : {0, 1, 2, 1000, 200'000}) {
+        for (const uint64_t mask :
+             {~uint64_t{0}, uint64_t{0xff00ff0000ff00ff}, uint64_t{0x3}}) {
+            SCOPED_TRACE("n " + std::to_string(n) + ", mask " +
+                         std::to_string(mask));
+            std::vector<uint64_t> keys(64);
+            for (uint64_t &key : keys)
+                key = rng.nextU64() & mask;
+            std::vector<Item> items(n);
+            for (size_t i = 0; i < n; ++i)
+                items[i] = {keys[rng.nextBelow(keys.size())], i};
+            auto expect = items;
+            std::stable_sort(expect.begin(), expect.end(),
+                             [](const Item &a, const Item &b) {
+                                 return a.key < b.key;
+                             });
+            for (util::ThreadPool *pool :
+                 {(util::ThreadPool *)nullptr, &one, &three, &eight}) {
+                auto work = items;
+                std::vector<Item> scratch(n);
+                const auto sorted = util::radixSortStable(
+                    std::span<Item>(work), std::span<Item>(scratch),
+                    [](const Item &item) { return item.key; }, pool);
+                EXPECT_TRUE(std::ranges::equal(sorted, expect))
+                    << (pool == nullptr ? 0 : pool->size()) << " workers";
+            }
+        }
+    }
 }
 
 } // namespace

@@ -17,9 +17,10 @@
  *       Full pre-processing (Section 5): graph + minimizer index per
  *       chromosome, serialized as a `.segram` pack — raw mmap-able
  *       tables mirroring the paper's Fig. 5/Fig. 6 memory layout.
- *       Chromosomes are built in parallel on --threads workers
- *       (default: every hardware thread), largest first; the pack is
- *       byte-identical at every count.
+ *       The build runs on one pool of --threads workers (default:
+ *       every hardware thread): the graphs one chromosome per worker,
+ *       largest first, then each chromosome's index on the whole pool.
+ *       The pack is byte-identical at every count.
  *       The graph source is either FASTA+VCF or an imported GFA
  *       (detected by content), e.g. a vg/minigraph-style pangenome or
  *       the output of `segram construct`. --discard-top sets the
@@ -83,6 +84,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <sys/resource.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -130,6 +132,7 @@ struct BuildTimes
 {
     double readSec = 0;  ///< parsing the FASTA+VCF or the GFA
     double buildSec = 0; ///< graphs and indexes (GFA import included)
+    core::BuildReport report; ///< workers and the index-stage split
 };
 
 /**
@@ -145,7 +148,8 @@ buildReference(const std::string &source_path, const std::string &vcf_path,
     index::IndexConfig config;
     config.bucketBits = bucket_bits;
     config.discardTopFraction = discard_top;
-    std::vector<core::ChromosomeBuildInfo> info;
+    core::BuildReport report;
+    const std::vector<core::ChromosomeBuildInfo> &info = report.chromosomes;
     const bool from_gfa = vcf_path.empty();
     const auto start = std::chrono::steady_clock::now();
     double read_sec = 0;
@@ -154,16 +158,16 @@ buildReference(const std::string &source_path, const std::string &vcf_path,
         auto doc = io::readGfaFile(source_path);
         read_sec = secondsSince(start);
         reference = core::PreprocessedReference::buildFromGraphs(
-            graph::importGfa(std::move(doc)), config, &info, threads);
+            graph::importGfa(std::move(doc)), config, &report, threads);
     } else {
         const auto records = io::readFastaFile(source_path);
         const auto vcf = io::readVcfFile(vcf_path);
         read_sec = secondsSince(start);
         reference = core::PreprocessedReference::buildFromRecords(
-            records, vcf, config, &info, threads);
+            records, vcf, config, &report, threads);
     }
     if (times != nullptr)
-        *times = {read_sec, secondsSince(start) - read_sec};
+        *times = {read_sec, secondsSince(start) - read_sec, report};
     for (size_t i = 0; i < reference.numChromosomes(); ++i) {
         const auto bases =
             static_cast<unsigned long long>(info[i].referenceBases);
@@ -198,10 +202,12 @@ cmdConstruct(const std::string &fasta_path, const std::string &vcf_path,
     // Multiple chromosomes are written as disjoint components with
     // name-prefixed segments.
     io::GfaDocument doc;
+    const graph::VcfByChrom vcf_by_chrom(vcf);
     for (const auto &record : records) {
         uint64_t dropped = 0;
         const auto variants = graph::canonicalizeSet(
-            vcf, record.name, record.seq.size(), &dropped);
+            vcf_by_chrom.records(record.name),
+            record.seq.size(), &dropped);
         const auto graph = graph::buildGraph(record.seq, variants);
         std::fprintf(stderr,
                      "[segram] %s: %zu bp, %zu variants (%llu dropped), "
@@ -329,19 +335,29 @@ cmdIndex(const std::string &graph_source, const std::string &vcf_path,
             printOccurrences(reference.name(i), reference.index(i));
         }
     }
-    // The build runs min(threads, chromosomes) workers.
-    const size_t workers =
-        std::min(static_cast<size_t>(threads), reference.numChromosomes());
+    const int workers = times.report.workers;
     std::fprintf(
         stderr,
         "[segram] wrote %s: %zu chromosome%s, %.2f MiB (read inputs "
-        "%.2f s, build %.2f s on %zu worker%s, write pack %.2f s)\n",
+        "%.2f s, build %.2f s on %d worker%s, write pack %.2f s)\n",
         pack_path.c_str(), reference.numChromosomes(),
         reference.numChromosomes() == 1 ? "" : "s",
         static_cast<double>(std::filesystem::file_size(pack_path)) /
             (1024.0 * 1024.0),
         times.readSec, times.buildSec, workers, workers == 1 ? "" : "s",
         write_sec);
+    // Graphs is the build less its index stage: VCF canonicalization
+    // and graph construction, or the GFA import.
+    const index::IndexBuildTimes &split = times.report.index;
+    struct rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    std::fprintf(stderr,
+                 "[segram] build split: graphs %.3f s, hits %.3f s, "
+                 "sort %.3f s, tables %.3f s; peak RSS %.1f MiB\n",
+                 times.buildSec - split.hitsSec - split.sortSec -
+                     split.tablesSec,
+                 split.hitsSec, split.sortSec, split.tablesSec,
+                 static_cast<double>(usage.ru_maxrss) / 1024.0);
     return 0;
 }
 
