@@ -27,11 +27,7 @@ RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats,
             inner_->mapOne(workspace.rcRetryBuffer, &local, workspace);
         reverse.reverseComplemented = true;
     }
-    const bool take_reverse =
-        reverse.mapped &&
-        (!forward.mapped ||
-         reverse.editDistance < forward.editDistance);
-    MapResult &best = take_reverse ? reverse : forward;
+    MapResult &best = replacesResult(reverse, forward) ? reverse : forward;
     if (stats != nullptr) {
         // Both strand passes were one logical read.
         local.readsTotal = 1;

@@ -31,6 +31,20 @@ struct MapResult
     bool reverseComplemented = false;
 };
 
+/**
+ * The one winner rule between mapped results (strand merge, RC retry,
+ * cross-shard merge): @p candidate replaces @p incumbent only when it
+ * mapped and either the incumbent did not or its edit distance is
+ * strictly lower. Ties keep the incumbent.
+ */
+inline bool
+replacesResult(const MapResult &candidate, const MapResult &incumbent)
+{
+    return candidate.mapped &&
+           (!incumbent.mapped ||
+            candidate.editDistance < incumbent.editDistance);
+}
+
 /** Map result extended with the winning chromosome: the batch
  *  driver's (ShardedBatchMapper's) output. */
 struct MultiMapResult : MapResult

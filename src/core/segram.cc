@@ -15,13 +15,13 @@ namespace segram::core
 namespace
 {
 
+using Clock = std::chrono::steady_clock;
+
 /** Seconds since @p start (stage-timing probe; reporting only). */
 inline double
-secondsSince(std::chrono::steady_clock::time_point start)
+secondsSince(Clock::time_point start)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
+    return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 } // namespace
@@ -41,7 +41,7 @@ SegramConfig::product(double error_rate)
 SegramMapper::SegramMapper(const graph::GenomeGraph &graph,
                            const index::MinimizerIndex &index,
                            const SegramConfig &config)
-    : graph_(graph), index_(index), config_(config),
+    : graph_(graph), config_(config),
       minseed_(graph, index, config.minseed)
 {
     // Once per chromosome; linearizeRange checks only the edges each
@@ -112,82 +112,115 @@ SegramMapper::filterRegions(MapWorkspace &workspace,
     return filtered;
 }
 
-MapResult
-SegramMapper::mapOneStrand(std::string_view read, PipelineStats *stats,
-                           MapWorkspace &workspace) const
+void
+SegramMapper::planStrand(std::string_view read, int strand,
+                         StrandTask &task, MapWorkspace &workspace,
+                         PipelineStats &local, bool timed) const
 {
-    PipelineStats local;
-    local.readsTotal = 1;
+    SEGRAM_CHECK(!read.empty(), "cannot map an empty read");
+    task.strand = strand;
+    if (strand == 0) {
+        task.read = read;
+    } else {
+        reverseComplement(read, task.rc);
+        task.read = task.rc;
+    }
 
-    // Stage timing is reporting-only; skip the clock entirely when the
-    // caller keeps no stats.
-    const bool timed = stats != nullptr;
-    using clock = std::chrono::steady_clock;
-
-    const auto seed_start = timed ? clock::now() : clock::time_point{};
-    minseed_.seedRead(read, workspace.regions, workspace.seed,
+    const auto seed_start = timed ? Clock::now() : Clock::time_point{};
+    minseed_.seedRead(task.read, workspace.regions, workspace.seed,
                       &local.seeding);
     const std::vector<seed::CandidateRegion> &all_regions =
-        filterRegions(workspace, read.size());
+        filterRegions(workspace, task.read.size());
     if (timed)
         local.timings.seedingSec += secondsSince(seed_start);
 
     size_t num_regions = all_regions.size();
     if (config_.maxRegions != 0 && num_regions > config_.maxRegions)
         num_regions = config_.maxRegions;
+    // Copy out: workspace.regions is shared scratch, and the scheduler
+    // plans the next strand while this one is still in flight.
+    task.regions.assign(all_regions.begin(),
+                        all_regions.begin() +
+                            static_cast<std::ptrdiff_t>(num_regions));
 
-    const int early_exit_edits =
+    task.earlyExitEdits =
         config_.earlyExitFraction > 0.0
             ? static_cast<int>(std::ceil(config_.earlyExitFraction *
                                          config_.minseed.errorRate *
                                          static_cast<double>(read.size())))
             : -1;
+    task.committed = 0;
+    // Field-wise reset keeps the CIGAR buffer warm.
+    task.best.mapped = false;
+    task.best.linearStart = 0;
+    task.best.editDistance = 0;
+    task.best.cigar.clear();
+    task.best.regionsTried = 0;
+    task.best.reverseComplemented = false;
+}
 
-    MapResult best;
-    for (size_t r = 0; r < num_regions; ++r) {
-        const seed::CandidateRegion &region = all_regions[r];
-        ++best.regionsTried;
-        ++local.regionsAligned;
-        auto stage_start = timed ? clock::now() : clock::time_point{};
-        graph::linearizeRange(graph_, region.start, region.end,
-                              config_.hopLimit, workspace.linearization);
-        if (timed) {
-            local.timings.linearizeSec += secondsSince(stage_start);
-            stage_start = clock::now();
-        }
-        // The alignment start is uncertain by up to 2*E*a within the
-        // region (Fig. 9); widen the first free-start window to cover
-        // the whole span.
-        align::BitAlignConfig bitalign = config_.bitalign;
-        bitalign.firstWindowExtraText +=
-            static_cast<int>(std::ceil(2.0 * config_.minseed.errorRate *
-                                       region.minimizerPos)) +
-            32;
-        align::GraphAlignment &alignment = workspace.alignment;
-        align::alignWindowed(workspace.linearization, read, bitalign,
-                             workspace.align, alignment);
-        if (timed)
-            local.timings.alignSec += secondsSince(stage_start);
-        if (!alignment.found)
-            continue;
-        ++local.alignmentsFound;
-        if (!best.mapped || alignment.editDistance < best.editDistance) {
-            best.mapped = true;
-            best.editDistance = alignment.editDistance;
-            best.linearStart = alignment.linearStart;
-            best.cigar = alignment.cigar;
-        }
-        if (early_exit_edits >= 0 && best.mapped &&
-            best.editDistance <= early_exit_edits) {
-            break;
-        }
+align::BitAlignConfig
+SegramMapper::prepareRegion(const seed::CandidateRegion &region,
+                            graph::LinearizedGraph &linearization,
+                            PipelineStats &local, bool timed) const
+{
+    const auto stage_start = timed ? Clock::now() : Clock::time_point{};
+    graph::linearizeRange(graph_, region.start, region.end,
+                          config_.hopLimit, linearization);
+    if (timed)
+        local.timings.linearizeSec += secondsSince(stage_start);
+    // The alignment start is uncertain by up to 2*E*a within the
+    // region (Fig. 9); widen the first free-start window to cover the
+    // whole span.
+    align::BitAlignConfig bitalign = config_.bitalign;
+    bitalign.firstWindowExtraText +=
+        static_cast<int>(std::ceil(2.0 * config_.minseed.errorRate *
+                                   region.minimizerPos)) +
+        32;
+    return bitalign;
+}
+
+bool
+SegramMapper::commitRegion(StrandTask &task,
+                           const align::GraphAlignment &alignment,
+                           PipelineStats &local)
+{
+    ++task.committed;
+    ++task.best.regionsTried;
+    ++local.regionsAligned;
+    if (!alignment.found)
+        return false;
+    ++local.alignmentsFound;
+    MapResult &best = task.best;
+    if (!best.mapped || alignment.editDistance < best.editDistance) {
+        best.mapped = true;
+        best.editDistance = alignment.editDistance;
+        best.linearStart = alignment.linearStart;
+        best.cigar = alignment.cigar;
     }
+    return task.earlyExitEdits >= 0 &&
+           best.editDistance <= task.earlyExitEdits;
+}
 
-    if (best.mapped)
+void
+SegramMapper::mergeStrands(MapResult &forward, MapResult *reverse,
+                           MapResult &out, PipelineStats &local)
+{
+    if (reverse == nullptr) {
+        out = std::move(forward);
+    } else {
+        reverse->reverseComplemented = true;
+        // The winner reports the work of both strands, not just its
+        // own.
+        const uint32_t total_tried =
+            forward.regionsTried + reverse->regionsTried;
+        out = std::move(replacesResult(*reverse, forward) ? *reverse
+                                                          : forward);
+        out.regionsTried = total_tried;
+    }
+    ++local.readsTotal;
+    if (out.mapped)
         ++local.readsMapped;
-    if (stats != nullptr)
-        *stats += local;
-    return best;
 }
 
 MapResult
@@ -201,34 +234,40 @@ MapResult
 SegramMapper::mapRead(std::string_view read, PipelineStats *stats,
                       MapWorkspace &workspace) const
 {
-    SEGRAM_CHECK(!read.empty(), "cannot map an empty read");
-    MapResult forward = mapOneStrand(read, stats, workspace);
-    if (!config_.tryReverseComplement)
-        return forward;
+    PipelineStats local;
+    // Stage timing is reporting-only; skip the clock entirely when the
+    // caller keeps no stats.
+    const bool timed = stats != nullptr;
+    const int strands = config_.tryReverseComplement ? 2 : 1;
+    if (workspace.tasks.size() < 2)
+        workspace.tasks.resize(2);
 
-    reverseComplement(read, workspace.rcBuffer);
-    MapResult reverse =
-        mapOneStrand(workspace.rcBuffer, stats, workspace);
-    reverse.reverseComplemented = true;
-    if (stats != nullptr) {
-        // Both strands were one logical read.
-        --stats->readsTotal;
-        if (forward.mapped && reverse.mapped)
-            --stats->readsMapped;
+    for (int strand = 0; strand < strands; ++strand) {
+        StrandTask &task = workspace.tasks[static_cast<size_t>(strand)];
+        planStrand(read, strand, task, workspace, local, timed);
+        while (task.committed < task.regions.size()) {
+            const align::BitAlignConfig bitalign =
+                prepareRegion(task.regions[task.committed],
+                              workspace.linearization, local, timed);
+            const auto align_start =
+                timed ? Clock::now() : Clock::time_point{};
+            align::alignWindowed(workspace.linearization, task.read,
+                                 bitalign, workspace.align,
+                                 workspace.alignment);
+            if (timed)
+                local.timings.alignSec += secondsSince(align_start);
+            if (commitRegion(task, workspace.alignment, local))
+                break;
+        }
     }
-    // The winner reports the work of both strands, not just its own.
-    const uint32_t total_tried =
-        forward.regionsTried + reverse.regionsTried;
-    MapResult best;
-    if (!reverse.mapped)
-        best = std::move(forward);
-    else if (!forward.mapped ||
-             reverse.editDistance < forward.editDistance)
-        best = std::move(reverse);
-    else
-        best = std::move(forward);
-    best.regionsTried = total_tried;
-    return best;
+
+    MapResult result;
+    mergeStrands(workspace.tasks[0].best,
+                 strands == 2 ? &workspace.tasks[1].best : nullptr, result,
+                 local);
+    if (stats != nullptr)
+        *stats += local;
+    return result;
 }
 
 void
@@ -243,7 +282,6 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
 
     PipelineStats local;
     const bool timed = stats != nullptr;
-    using clock = std::chrono::steady_clock;
 
     const int strands = config_.tryReverseComplement ? 2 : 1;
     const size_t num_tasks = reads.size() * static_cast<size_t>(strands);
@@ -253,10 +291,8 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
     for (LaneSlot &lane : workspace.lanes)
         lane.task = -1;
     workspace.tasks.resize(2 * bitops::kBatchLanes);
-    for (StrandTask &task : workspace.tasks) {
+    for (StrandTask &task : workspace.tasks)
         task.inUse = false;
-        task.finished = false;
-    }
     workspace.activeTasks.clear();
     if (strands == 2) {
         workspace.pendingStrand.resize(num_tasks);
@@ -264,13 +300,11 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
     }
 
     // A finished strand result either is the read's result (forward
-    // only) or is staged until its sibling strand arrives; the merge
-    // is mapRead's winner rule verbatim.
+    // only) or is staged until its sibling strand arrives.
     const auto strandDone = [&](StrandTask &task) {
         if (strands == 1) {
-            results[task.readIndex] = std::move(task.best);
-            if (results[task.readIndex].mapped)
-                ++local.readsMapped;
+            mergeStrands(task.best, nullptr, results[task.readIndex],
+                         local);
             return;
         }
         const size_t base = task.readIndex * 2;
@@ -279,22 +313,9 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
         if (!workspace.pendingStrandDone[base] ||
             !workspace.pendingStrandDone[base + 1])
             return;
-        MapResult &forward = workspace.pendingStrand[base];
-        MapResult &reverse = workspace.pendingStrand[base + 1];
-        reverse.reverseComplemented = true;
-        // The winner reports the work of both strands, not just its own.
-        const uint32_t total_tried =
-            forward.regionsTried + reverse.regionsTried;
-        MapResult &winner =
-            !reverse.mapped ? forward
-            : (!forward.mapped ||
-               reverse.editDistance < forward.editDistance)
-                ? reverse
-                : forward;
-        results[task.readIndex] = std::move(winner);
-        results[task.readIndex].regionsTried = total_tried;
-        if (results[task.readIndex].mapped)
-            ++local.readsMapped;
+        mergeStrands(workspace.pendingStrand[base],
+                     &workspace.pendingStrand[base + 1],
+                     results[task.readIndex], local);
     };
 
     // Retires a task: delivers its strand result, frees its pool slot
@@ -303,8 +324,6 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
     // committed, so the totals stay exactly mapRead's).
     const auto finishTask = [&](int ti) {
         StrandTask &task = workspace.tasks[static_cast<size_t>(ti)];
-        task.finished = true;
-        task.inFlight = 0;
         for (LaneSlot &lane : workspace.lanes)
             if (lane.task == ti)
                 lane.task = -1;
@@ -315,40 +334,28 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
     };
 
     // Folds finished outcomes into the strand best strictly in region
-    // order — the order, best-update rule and early-exit check of
-    // mapOneStrand verbatim, so the strand result and the committed
-    // counters are bit-identical to the sequential path.
+    // order, through the same commitRegion the mapRead loop calls.
     const auto runCommits = [&](int ti) {
         StrandTask &task = workspace.tasks[static_cast<size_t>(ti)];
-        while (!task.finished) {
-            if (task.committed == task.regions.size()) {
+        while (task.inUse) {
+            const size_t r = task.committed;
+            if (r < task.regions.size() && !task.outcomes[r].done)
+                return;
+            if (r == task.regions.size() ||
+                commitRegion(task, task.outcomes[r].alignment, local))
                 finishTask(ti);
-                return;
-            }
-            if (task.committed >= task.started ||
-                task.outcomes[task.committed].state != 2)
-                return;
-            const align::GraphAlignment &alignment =
-                task.outcomes[task.committed].alignment;
-            ++task.committed;
-            ++task.best.regionsTried;
-            ++local.regionsAligned;
-            if (!alignment.found)
-                continue;
-            ++local.alignmentsFound;
-            if (!task.best.mapped ||
-                alignment.editDistance < task.best.editDistance) {
-                task.best.mapped = true;
-                task.best.editDistance = alignment.editDistance;
-                task.best.linearStart = alignment.linearStart;
-                task.best.cigar = alignment.cigar;
-            }
-            if (task.earlyExitEdits >= 0 && task.best.mapped &&
-                task.best.editDistance <= task.earlyExitEdits) {
-                finishTask(ti);
-                return;
-            }
         }
+    };
+
+    // Buffers the outcome of region @p r's finished stream in @p lane,
+    // frees the lane and commits whatever is now in order.
+    const auto regionDone = [&](int ti, size_t r, LaneSlot &lane) {
+        RegionOutcome &outcome =
+            workspace.tasks[static_cast<size_t>(ti)].outcomes[r];
+        outcome.done = true;
+        outcome.alignment = std::move(lane.alignment);
+        lane.task = -1;
+        runCommits(ti);
     };
 
     // Issues the next unstarted region's window stream into @p lane.
@@ -357,39 +364,23 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
     const auto startRegion = [&](int ti, LaneSlot &lane) -> bool {
         StrandTask &task = workspace.tasks[static_cast<size_t>(ti)];
         const size_t r = task.started++;
-        const seed::CandidateRegion &region = task.regions[r];
-        task.outcomes[r].state = 1;
-        const auto stage_start = timed ? clock::now() : clock::time_point{};
-        graph::linearizeRange(graph_, region.start, region.end,
-                              config_.hopLimit, lane.linearization);
-        if (timed)
-            local.timings.linearizeSec += secondsSince(stage_start);
-        // Same free-start widening as mapOneStrand (Fig. 9).
-        align::BitAlignConfig bitalign = config_.bitalign;
-        bitalign.firstWindowExtraText += static_cast<int>(std::ceil(
-                                             2.0 *
-                                             config_.minseed.errorRate *
-                                             region.minimizerPos)) +
-                                         32;
+        const align::BitAlignConfig bitalign = prepareRegion(
+            task.regions[r], lane.linearization, local, timed);
         lane.stream.begin(lane.linearization, task.read, bitalign,
                           &lane.alignment);
-        if (!lane.stream.done()) {
-            lane.task = ti;
-            lane.region = r;
-            ++task.inFlight;
-            return true;
+        if (lane.stream.done()) {
+            regionDone(ti, r, lane);
+            return false;
         }
-        // Degenerate window stream finished without a request.
-        task.outcomes[r].state = 2;
-        task.outcomes[r].alignment = std::move(lane.alignment);
-        runCommits(ti);
-        return false;
+        lane.task = ti;
+        lane.region = r;
+        return true;
     };
 
     // Claims strand tasks (read-major, forward before RC) into pool
-    // slots: seeds the read and prepares its region list. Region-less
-    // tasks finish on the spot. @return The pool index of a task with
-    // startable regions, or -1 when the batch is exhausted.
+    // slots and plans them. Region-less tasks finish on the spot.
+    // @return The pool index of a task with startable regions, or -1
+    // when the batch is exhausted.
     const auto activate = [&]() -> int {
         while (next_task < num_tasks) {
             const size_t t = next_task++;
@@ -402,60 +393,14 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
             SEGRAM_CHECK(ti >= 0, "strand-task pool exhausted");
             StrandTask &task = workspace.tasks[static_cast<size_t>(ti)];
             task.inUse = true;
-            task.finished = false;
             task.readIndex = t / static_cast<size_t>(strands);
-            task.strand =
-                static_cast<int>(t % static_cast<size_t>(strands));
-            const std::string_view read = reads[task.readIndex];
-            if (task.strand == 0) {
-                SEGRAM_CHECK(!read.empty(), "cannot map an empty read");
-                task.read = read;
-            } else {
-                reverseComplement(read, task.rc);
-                task.read = task.rc;
-            }
-
-            const auto seed_start =
-                timed ? clock::now() : clock::time_point{};
-            minseed_.seedRead(task.read, workspace.regions,
-                              workspace.seed, &local.seeding);
-            const std::vector<seed::CandidateRegion> &all_regions =
-                filterRegions(workspace, task.read.size());
-            if (timed)
-                local.timings.seedingSec += secondsSince(seed_start);
-
-            size_t num_regions = all_regions.size();
-            if (config_.maxRegions != 0 &&
-                num_regions > config_.maxRegions)
-                num_regions = config_.maxRegions;
-            // Copy out: workspace.regions is shared scratch and the
-            // next activation overwrites it while this strand is still
-            // in flight.
-            task.regions.assign(
-                all_regions.begin(),
-                all_regions.begin() +
-                    static_cast<std::ptrdiff_t>(num_regions));
-            task.outcomes.resize(num_regions);
-            for (RegionOutcome &outcome : task.outcomes)
-                outcome.state = 0;
-
-            task.earlyExitEdits =
-                config_.earlyExitFraction > 0.0
-                    ? static_cast<int>(
-                          std::ceil(config_.earlyExitFraction *
-                                    config_.minseed.errorRate *
-                                    static_cast<double>(task.read.size())))
-                    : -1;
+            planStrand(reads[task.readIndex],
+                       static_cast<int>(t % static_cast<size_t>(strands)),
+                       task, workspace, local, timed);
             task.started = 0;
-            task.committed = 0;
-            task.inFlight = 0;
-            // Field-wise reset keeps the CIGAR buffer warm.
-            task.best.mapped = false;
-            task.best.linearStart = 0;
-            task.best.editDistance = 0;
-            task.best.cigar.clear();
-            task.best.regionsTried = 0;
-            task.best.reverseComplemented = false;
+            task.outcomes.resize(task.regions.size());
+            for (RegionOutcome &outcome : task.outcomes)
+                outcome.done = false;
             workspace.activeTasks.push_back(ti);
             if (task.regions.empty()) {
                 finishTask(ti);
@@ -517,7 +462,7 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
         if (num_pending == 0)
             break;
 
-        const auto align_start = timed ? clock::now() : clock::time_point{};
+        const auto align_start = timed ? Clock::now() : Clock::time_point{};
         // Every pending request joins one batch (k is uniform: every
         // request carries config_.bitalign.windowEditCap, and
         // alignWindowBatch pads mixed widths to the widest lane). A
@@ -552,22 +497,11 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
             if (lane.task < 0)
                 continue;
             lane.stream.consume(lane.window);
-            if (!lane.stream.done())
-                continue;
-            const int ti = lane.task;
-            StrandTask &task = workspace.tasks[static_cast<size_t>(ti)];
-            task.outcomes[lane.region].state = 2;
-            task.outcomes[lane.region].alignment =
-                std::move(lane.alignment);
-            --task.inFlight;
-            lane.task = -1;
-            runCommits(ti);
+            if (lane.stream.done())
+                regionDone(lane.task, lane.region, lane);
         }
     }
 
-    // Net read-level accounting: both strands of a read were one
-    // logical read (readsMapped was already counted per merged read).
-    local.readsTotal = reads.size();
     if (stats != nullptr)
         *stats += local;
 }

@@ -149,11 +149,11 @@ class SegramMapper : public MappingEngine
      * window request joins one lane-batched kernel launch (mixed
      * widths pad to the widest); a lone draining lane runs the same
      * kernel at one lane. Region outcomes commit strictly in region
-     * order and speculative work past an early exit is discarded, so
-     * every per-strand decision (region order, best-update
-     * tie-breaking, early exit, strand merge) and every committed
-     * counter is bit-identical to a mapRead loop — only the window
-     * computations are co-scheduled.
+     * order and speculative work past an early exit is discarded.
+     * Planning, per-region config, commits and the strand merge are
+     * the private steps mapRead calls too, so every per-strand decision
+     * and every committed counter is bit-identical to a mapRead loop —
+     * only the window computations are co-scheduled.
      */
     void mapMany(std::span<const std::string_view> reads,
                  std::span<MapResult> results, PipelineStats *stats,
@@ -172,9 +172,50 @@ class SegramMapper : public MappingEngine
     const graph::GenomeGraph &graph() const { return graph_; }
 
   private:
-    /** Maps one orientation of a read (no reverse-complement retry). */
-    MapResult mapOneStrand(std::string_view read, PipelineStats *stats,
-                           MapWorkspace &workspace) const;
+    // The candidate-region policy. mapRead drives these steps in a
+    // sequential loop, one alignWindowed per region; mapMany drives the
+    // same steps from its lane scheduler. Each rule lives here once.
+
+    /**
+     * Plans strand @p strand (0 = forward, 1 = reverse complement) of
+     * @p read into @p task: seeds it (timed as the seeding stage),
+     * applies the chain filter and the maxRegions cut, sets the
+     * early-exit bound and resets the strand best and commit cursor.
+     */
+    void planStrand(std::string_view read, int strand, StrandTask &task,
+                    MapWorkspace &workspace, PipelineStats &local,
+                    bool timed) const;
+
+    /**
+     * Linearizes @p region into @p linearization (timed as the
+     * linearization stage). @return The region's BitAlign config, its
+     * first free-start window widened to cover the Fig. 9 span.
+     */
+    align::BitAlignConfig
+    prepareRegion(const seed::CandidateRegion &region,
+                  graph::LinearizedGraph &linearization,
+                  PipelineStats &local, bool timed) const;
+
+    /**
+     * Folds the outcome of region task.committed into the strand best
+     * (callers commit strictly in region order): counts the region and
+     * a found alignment, and takes it only when its edit distance is
+     * strictly lower, so ties keep the earlier region.
+     * @return True when early exit fires.
+     */
+    static bool commitRegion(StrandTask &task,
+                             const align::GraphAlignment &alignment,
+                             PipelineStats &local);
+
+    /**
+     * Delivers a read's result into @p out from its strand results
+     * (@p reverse is null without the reverse-complement retry). The
+     * reverse strand wins only when strictly lower (replacesResult);
+     * the winner reports the regions tried on both strands. Counts the
+     * read once in readsTotal and, when mapped, in readsMapped.
+     */
+    static void mergeStrands(MapResult &forward, MapResult *reverse,
+                             MapResult &out, PipelineStats &local);
 
     /**
      * Applies the optional chaining filter to workspace.regions.
@@ -185,7 +226,6 @@ class SegramMapper : public MappingEngine
     filterRegions(MapWorkspace &workspace, size_t read_len) const;
 
     const graph::GenomeGraph &graph_;
-    const index::MinimizerIndex &index_;
     SegramConfig config_;
     seed::MinSeed minseed_;
 };

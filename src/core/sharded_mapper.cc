@@ -177,9 +177,7 @@ ShardedBatchMapper::collect(Ticket ticket) const
         MultiMapResult &best = results[i];
         for (size_t s = 0; s < engines_.size(); ++s) {
             MapResult &result = batch->partial[s][i];
-            if (result.mapped &&
-                (!best.mapped ||
-                 result.editDistance < best.editDistance)) {
+            if (replacesResult(result, best)) {
                 static_cast<MapResult &>(best) = std::move(result);
                 best.chromosome = names_[s];
             }

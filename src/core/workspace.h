@@ -47,37 +47,37 @@ namespace segram::core
  */
 struct RegionOutcome
 {
-    /** 0 = not started, 1 = stream in flight, 2 = finished. */
-    uint8_t state = 0;
-    align::GraphAlignment alignment;  ///< stream result (state == 2)
+    bool done = false;               ///< the region's stream finished
+    align::GraphAlignment alignment; ///< stream result (when done)
 };
 
 /**
- * One strand task (read x orientation) of the lane-batched mapping
- * scheduler. A task owns its candidate-region list and strand-level
- * best; the scheduler may run several of its regions' window streams
- * concurrently (speculatively past an undecided early-exit check),
- * buffering outcomes and committing them in region order. Buffers are
- * reused across activations via a small task pool.
+ * One strand (read x orientation) being mapped. SegramMapper's
+ * planning step fills the strand part (read, region list, early-exit
+ * bound, commit cursor, best); mapRead walks it region by region, and
+ * the lane-batched scheduler keeps a pool of them, running several of
+ * a task's region streams at once (speculatively past an undecided
+ * early-exit check), buffering outcomes and committing them in region
+ * order. Buffers are reused across activations.
  */
 struct StrandTask
 {
     // --- reusable buffers ---
     std::string rc;                              ///< RC read (strand 1)
     std::vector<seed::CandidateRegion> regions;  ///< this strand's list
-    std::vector<RegionOutcome> outcomes;         ///< per-region staging
+    std::vector<RegionOutcome> outcomes;         ///< scheduler staging
 
-    // --- scheduler state (reset per activation) ---
+    // --- strand state (reset by planning) ---
     std::string_view read;    ///< forward view or rc
-    size_t readIndex = 0;     ///< index into the mapMany batch
     int strand = 0;           ///< 0 = forward, 1 = reverse complement
-    size_t started = 0;       ///< regions whose stream has been issued
     size_t committed = 0;     ///< regions folded into best (in order)
-    int inFlight = 0;         ///< lanes currently running this task
     int earlyExitEdits = -1;  ///< early-exit threshold (-1 = off)
     MapResult best;           ///< strand-level best-so-far
-    bool finished = false;    ///< strand result delivered
-    bool inUse = false;       ///< pool slot occupancy
+
+    // --- scheduler state (reset per activation) ---
+    size_t readIndex = 0;     ///< index into the mapMany batch
+    size_t started = 0;       ///< regions whose stream has been issued
+    bool inUse = false;       ///< pool slot holds an unfinished task
 };
 
 /**
@@ -105,12 +105,12 @@ struct MapWorkspace
     seed::ChainScratch chainScratch;              ///< chainSeeds buffers
 
     // --- read preparation ---
-    std::string rcBuffer; ///< SegramMapper's reverse-complement buffer
     /**
-     * RcRetryEngine's reverse-complement buffer. Distinct from
-     * rcBuffer on purpose: the wrapper passes its buffer as the *read*
-     * into the inner engine, which may fill rcBuffer for its own RC
-     * pass — one shared buffer would alias input and scratch.
+     * RcRetryEngine's reverse-complement buffer. Distinct from the
+     * strand tasks' rc buffers on purpose: the wrapper passes its
+     * buffer as the *read* into the inner engine, which may fill a
+     * task's rc for its own RC pass — one shared buffer would alias
+     * input and scratch.
      */
     std::string rcRetryBuffer;
 
@@ -121,7 +121,7 @@ struct MapWorkspace
     align::AlignScratch align;
     align::GraphAlignment alignment;      ///< per-region result (reused)
 
-    // --- lane-batched scheduling (SegramMapper::mapMany) ---
+    // --- strand tasks: mapRead uses the first two, mapMany the pool ---
     std::vector<StrandTask> tasks;    ///< strand-task pool
     std::vector<int> activeTasks;     ///< pool indices, activation order
     std::vector<LaneSlot> lanes;      ///< kBatchLanes region streams

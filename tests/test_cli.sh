@@ -94,11 +94,20 @@ grep -q "pre-processing split: read inputs" "$tmp/stats.log" || {
 echo "cli --stats breakdown OK"
 
 # The pipeline knobs must be accepted (and still map) on the segram
-# engine; hop-limit 0 selects the software-exact unlimited mode.
-"$bin" map --max-regions 8 --early-exit 0 --chain-filter \
-    --max-chains 2 --hop-limit 0 "$tmp/d.fa" "$tmp/d.vcf" \
-    "$tmp/d.reads.fa" > "$tmp/knobs.paf" 2> /dev/null
-test -s "$tmp/knobs.paf" || { echo "FAIL: knobs run mapped nothing"; exit 1; }
+# engine; hop-limit 0 selects the software-exact unlimited mode. The
+# chain-filter path through the lane scheduler must not depend on the
+# thread count.
+for threads in 1 4; do
+    "$bin" map --threads "$threads" --max-regions 8 --early-exit 0 \
+        --chain-filter --max-chains 2 --hop-limit 0 "$tmp/d.fa" \
+        "$tmp/d.vcf" "$tmp/d.reads.fa" > "$tmp/knobs$threads.paf" \
+        2> /dev/null
+done
+test -s "$tmp/knobs1.paf" || { echo "FAIL: knobs run mapped nothing"; exit 1; }
+cmp "$tmp/knobs1.paf" "$tmp/knobs4.paf" || {
+    echo "FAIL: knobs run differs between --threads 1 and 4"
+    exit 1
+}
 echo "cli pipeline knobs OK"
 
 # --- pack round trip: simulate -> index -> map-from-pack ---

@@ -443,7 +443,21 @@ TEST(SegramMapper, MapReadsSchedulerMatchesMapReadLoop)
     SegramConfig capped;
     capped.maxRegions = 2;
     capped.tryReverseComplement = true;
-    const SegramConfig configs[] = {plain, early, early_rc, capped};
+    // The config `segram map` runs, at two error rates, and the
+    // chain-filter path through the scheduler.
+    SegramConfig chained_early_rc = early_rc;
+    chained_early_rc.enableChainFilter = true;
+    chained_early_rc.chain.maxChains = 2;
+    SegramConfig chained_product = SegramConfig::product();
+    chained_product.enableChainFilter = true;
+    const SegramConfig configs[] = {plain,
+                                    early,
+                                    early_rc,
+                                    capped,
+                                    SegramConfig::product(),
+                                    SegramConfig::product(0.10),
+                                    chained_early_rc,
+                                    chained_product};
 
     for (size_t c = 0; c < std::size(configs); ++c) {
         const SegramMapper mapper(dataset.graph, dataset.index,
